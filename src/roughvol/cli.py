@@ -553,6 +553,7 @@ def cmd_study(cfg: RunConfig, which: str):
             n_paths=cfg.n_paths or experiments.N_PATHS_PRICING,
             seed=cfg.seed,
             points_per_eps=max(4, min(cfg.points_per_eps, 8)),
+            warmup_mult=cfg.warmup_mult,
         )
     n_mc = cfg.n_paths or experiments.N_PATHS_LEMMA
     if which == "vartheta":
@@ -560,12 +561,13 @@ def cmd_study(cfg: RunConfig, which: str):
             mp, cfg.grid(mp), n_paths=n_mc, seed=cfg.seed,
             t_interior=cfg.t_interior,
         )
+    grid = dict(points_per_eps=cfg.points_per_eps, warmup_mult=cfg.warmup_mult)
     if which == "phi":
         return experiments.phi_variance_check(
-            mp, cfg.eps_grid, n_mc=n_mc, seed=cfg.seed
+            mp, cfg.eps_grid, n_mc=n_mc, seed=cfg.seed, **grid
         )
     return experiments.kappa_check(
-        mp, cfg.eps_grid, n_mc=n_mc, seed=cfg.seed
+        mp, cfg.eps_grid, n_mc=n_mc, seed=cfg.seed, **grid
     )
 
 

@@ -598,10 +598,6 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     fine = sw.delta / kap
     so = sw.sig_ou
     vol = mp.vol_fn
-
-    def g_prime(z):
-        return vol(z) * vol.deriv(z)
-
     masses = ke.cell_masses(fine, n_fine)
     variances = so**2 * ke.ksq_cum_grid(fine, n_fine)
     i_int = None
@@ -629,7 +625,7 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
         m = _conditional_means(sw, warm, fine=True)
         z0 = m[:, 0] + so * (sw.r_std * block[:, n_xi]
                              + sw.eta_std[0] * block[:, n_xi + 1])
-        gprof = _gaussian_profile(g_prime, m, variances, gh_order)
+        gprof = _gaussian_profile(vol.ffp, m, variances, gh_order)
         theta = so * sqeps * _trapezoid_cells(gprof, masses)
         sigma0 = vol(z0)
         prod = sigma0 * theta
@@ -647,7 +643,7 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
                 + sw.eta_std[i_int] * block[:, n_xi + 3]
             )
             v2 = variances[: n_fine + 1 - i_fine]
-            gprof2 = _gaussian_profile(g_prime, m2, v2, gh_order)
+            gprof2 = _gaussian_profile(vol.ffp, m2, v2, gh_order)
             theta2 = so * sqeps * _trapezoid_cells(gprof2,
                                                    masses[: n_fine - i_fine])
             samples_int.append(vol(zt) * theta2)

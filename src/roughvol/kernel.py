@@ -27,6 +27,7 @@ cancellation and on the sign of the tail; none of it is "fixed up" here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,18 @@ _ASYM_SWITCH_IK = 600.0
 # Time-domain covariance switches to its (even) asymptotic series here.
 _ASYM_SWITCH_CZ = 30.0
 _N_ASYM_TERMS = 14
+# Fixed rule for J(t) on (split_point, 60): composite Gauss--Legendre in w,
+# half the panels graded geometrically toward w=0 (the w^((1-a)/a) branch
+# point) and half toward w=1 (the e^(-t(1-w^(1/a))) boundary layer of width
+# ~a/t).  Accurate to ~1e-15 absolute for all H in (0, 1/2).
+_J_PANELS = 40
+_J_NODES = 16
+# K^2 integrals away from the origin: one Gauss--Legendre rule per cell.
+_KSQ_NODES = 20
+# Geometric panels on [1, 60] whose cumulative K^2 masses are tabulated once.
+_KSQ_PANELS = 24
+# Array kernel evaluations run in blocks of this many doubles (~1 MB).
+_BLOCK = 1 << 17
 
 
 def _hurst_value(h) -> float:
@@ -140,8 +153,10 @@ class KernelEval:
     hurst : float or Hurst
         Hurst exponent in ``(0, 1/2)``.
     quad_tol : float, optional
-        Absolute quadrature tolerance plumbed through all integral
-        evaluations (default ``1e-9``).
+        Absolute tolerance of the adaptive quadrature of the first
+        squared-kernel cell (:meth:`ksq_first_cell`) and of the route
+        agreement check at the split (default ``1e-9``).  The fixed rules
+        below are accurate to ~1e-15 regardless.
     split_point : float, optional
         Switch between the small-``t`` confluent-hypergeometric form and the
         large-``t`` stable rewriting (default ``1.0``).  The two routes are
@@ -160,9 +175,15 @@ class KernelEval:
       ``B(t) = t^(a-1) e^(-t) - J(t)`` with
       ``J(t) = (t^a/a) int_0^1 [1 - w^((1-a)/a)] e^(-t(1-w^(1/a))) dw``
       (substitution ``w = ((t-v)/t)^a`` in the defining integral), evaluated
-      by adaptive quadrature,
+      for whole arrays of ``t`` by one fixed composite Gauss--Legendre rule
+      in ``w`` whose panels are graded geometrically toward both ends,
     * ``t >= 60`` -- the asymptotic series
       ``B(t) ~ -t^(a-1) sum_{k>=1} (1-a)_k t^(-k)``.
+
+    Squared-kernel integrals ``int_1^t K^2`` apply one Gauss--Legendre rule
+    per cell to the array kernel: cumulative masses over fixed geometric
+    panels of ``[1, 60]`` are tabulated once per evaluator, and each ``t``
+    adds the rule over its own partial panel.
     """
 
     def __init__(self, hurst, quad_tol: float = 1e-9, split_point: float = 1.0):
@@ -205,16 +226,40 @@ class KernelEval:
         raw = t ** (a - 1.0) - np.exp(-t) * t**a / a * special.hyp1f1(a, a + 1.0, t)
         return raw / self._norm
 
-    def _kernel_quad_one(self, t: float) -> float:
+    @functools.cached_property
+    def _j_rule(self):
+        """Exponent factors ``1 - w^(1/a)`` and weights of the fixed ``J`` rule.
+
+        Nodes of the right half are built from their distance ``d = 1 - w``
+        to the end, so that both factors keep full precision near ``w = 1``.
+        """
         a = self._a
+        x, wt = np.polynomial.legendre.leggauss(_J_NODES)
+        side = _J_PANELS // 2
+        left = np.concatenate(([0.0], np.geomspace(1e-14, 0.5, side)))
+        right = np.concatenate((np.geomspace(0.5, 1e-9, side), [0.0]))
+        half_l = 0.5 * (left[1:] - left[:-1])
+        half_r = 0.5 * (right[:-1] - right[1:])
+        w_l = (0.5 * (left[1:] + left[:-1]))[:, None] + half_l[:, None] * x
+        d_r = (0.5 * (right[1:] + right[:-1]))[:, None] + half_r[:, None] * x
+        log_w = np.concatenate((np.log(w_l).ravel(), np.log1p(-d_r).ravel()))
+        weights = np.concatenate(((half_l[:, None] * wt).ravel(),
+                                  (half_r[:, None] * wt).ravel()))
+        expo = -np.expm1(log_w / a)
+        weights *= -np.expm1((1.0 - a) / a * log_w)
+        return expo, weights
 
-        def g(w):
-            return (1.0 - w ** ((1.0 - a) / a)) * np.exp(-t * (1.0 - w ** (1.0 / a)))
-
-        j, _ = integrate.quad(
-            g, 0.0, 1.0, epsabs=0.1 * self.quad_tol, epsrel=1e-13, limit=200
-        )
-        bracket = t ** (a - 1.0) * math.exp(-t) - j * t**a / a
+    def _kernel_mid(self, t: np.ndarray) -> np.ndarray:
+        """``K(t)`` on ``(0, 60)`` by the fixed ``J`` rule (1-D array ``t``)."""
+        a = self._a
+        expo, weights = self._j_rule
+        j = np.empty_like(t)
+        rows = max(1, _BLOCK // expo.size)
+        for lo in range(0, t.size, rows):
+            block = np.multiply.outer(t[lo: lo + rows], -expo)
+            np.exp(block, out=block)
+            j[lo: lo + rows] = block @ weights
+        bracket = t ** (a - 1.0) * np.exp(-t) - j * t**a / a
         return bracket / self._norm
 
     def _kernel_asym(self, t):
@@ -233,7 +278,7 @@ class KernelEval:
         out = np.empty_like(t)
         mid = t < _ASYM_SWITCH_K
         if np.any(mid):
-            out[mid] = [self._kernel_quad_one(float(ti)) for ti in np.atleast_1d(t[mid])]
+            out[mid] = self._kernel_mid(t[mid])
         if np.any(~mid):
             out[~mid] = self._kernel_asym(t[~mid])
         return out
@@ -344,70 +389,38 @@ class KernelEval:
         )
         return float(val)
 
-    def ksq_cum(self, t: float) -> float:
-        """``int_0^t K(u)^2 du`` (monotone, converging to 1)."""
-        t = float(t)
-        if t < 0.0:
-            raise ValueError("ksq_cum requires t >= 0")
-        if t == 0.0:
-            return 0.0
-        if t >= _ASYM_SWITCH_K:
-            return 1.0 - self.ksq_tail(t)
-        head = self.ksq_first_cell(min(t, 1.0))
-        if t <= 1.0:
-            return head
-        return head + self._ksq_between(1.0, t)
+    def _ksq_cells(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``int_lo^hi K(u)^2 du`` per cell (arrays, ``0 < lo <= hi``).
 
-    def _ksq_between(self, lo: float, hi: float) -> float:
-        """``int_lo^hi K(u)^2 du`` for ``0 < lo < hi`` by adaptive quadrature."""
-        val, _ = integrate.quad(
-            lambda u: float(self.kernel_K(u)) ** 2,
-            lo,
-            hi,
-            epsabs=0.1 * self.quad_tol,
-            epsrel=1e-12,
-            limit=200,
-        )
-        return float(val)
-
-    def ksq_cum_grid(self, delta: float, count: int) -> np.ndarray:
-        """``int_0^{k delta} K(u)^2 du`` for ``k = 0..count`` (array).
-
-        Accumulated cell by cell: below the asymptotic switch each node adds
-        one quadrature over its own cell to the previous value, so the cost
-        is linear in ``count`` (calling :meth:`ksq_cum` per node integrates
-        from the origin each time); from the switch on, the closed-form tail
-        series is used exactly as in :meth:`ksq_cum`.
+        One Gauss--Legendre rule per cell; the kernel is evaluated on the
+        nodes of a block of cells at a time.
         """
-        if delta <= 0.0:
-            raise ValueError(f"delta must be positive; got {delta!r}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1; got {count!r}")
-        out = np.zeros(count + 1)
-        out[1] = self.ksq_cum(delta)
-        for k in range(2, count + 1):
-            t = k * delta
-            if t >= _ASYM_SWITCH_K:
-                out[k] = 1.0 - self.ksq_tail(t)
-            else:
-                out[k] = out[k - 1] + self._ksq_between((k - 1) * delta, t)
+        x, wt = np.polynomial.legendre.leggauss(_KSQ_NODES)
+        mid = 0.5 * (hi + lo)
+        half = 0.5 * (hi - lo)
+        out = np.empty_like(mid)
+        rows = _BLOCK // _KSQ_NODES
+        for b in range(0, mid.size, rows):
+            nodes = mid[b: b + rows, None] + half[b: b + rows, None] * x
+            out[b: b + rows] = half[b: b + rows] * (self.kernel_K(nodes) ** 2 @ wt)
         return out
 
-    def ksq_tail(self, t: float) -> float:
-        """``int_t^infty K(u)^2 du`` (the unresolved-history variance).
+    @functools.cached_property
+    def _ksq_table(self):
+        """Panel edges on ``[1, 60]`` and ``int_0^edge K^2`` at each edge."""
+        edges = np.geomspace(1.0, _ASYM_SWITCH_K, _KSQ_PANELS + 1)
+        cum = np.empty_like(edges)
+        cum[0] = self.ksq_first_cell(1.0)
+        cum[1:] = cum[0] + np.cumsum(self._ksq_cells(edges[:-1], edges[1:]))
+        return edges, cum
 
-        For ``t >= 60`` the square of the kernel's asymptotic series is
-        integrated termwise; below that, the complement of ``ksq_cum``.
-        """
-        t = float(t)
-        if t < 0.0:
-            raise ValueError("ksq_tail requires t >= 0")
-        if t < _ASYM_SWITCH_K:
-            return 1.0 - self.ksq_cum(t)
+    def _ksq_tail_series(self, t: np.ndarray) -> np.ndarray:
+        """``int_t^infty K^2`` for ``t >= 60``: the squared asymptotic series
+        integrated termwise."""
         a = self._a
         one_minus_a = 1.0 - a
         coeff = [_rising(one_minus_a, k) for k in range(1, _N_ASYM_TERMS + 1)]
-        total = 0.0
+        total = np.zeros_like(t)
         for m in range(2, _N_ASYM_TERMS + 2):
             c_m = 0.0
             for k in range(1, m):
@@ -417,6 +430,70 @@ class KernelEval:
                 c_m += coeff[k - 1] * coeff[l - 1]
             total += c_m * t ** (2.0 * a - 1.0 - m) / (m + 1.0 - 2.0 * a)
         return total / self._norm**2
+
+    def ksq_cum(self, t):
+        """``int_0^t K(u)^2 du`` (scalar or array; monotone, converging to 1).
+
+        ``t <= 1`` uses :meth:`ksq_first_cell`; ``1 < t < 60`` adds to the
+        tabulated mass at the panel edge below ``t`` one fixed rule over the
+        rest of the panel; ``t >= 60`` is the complement of the tail series.
+        """
+        arr = np.asarray(t, dtype=float)
+        if np.any(arr < 0.0):
+            raise ValueError("ksq_cum requires t >= 0")
+        out = np.zeros_like(arr)
+        head = (arr > 0.0) & (arr <= 1.0)
+        mid = (arr > 1.0) & (arr < _ASYM_SWITCH_K)
+        far = arr >= _ASYM_SWITCH_K
+        if np.any(head):
+            out[head] = [self.ksq_first_cell(float(v)) for v in arr[head]]
+        if np.any(mid):
+            tm = arr[mid]
+            edges, cum = self._ksq_table
+            j = np.searchsorted(edges, tm, side="right") - 1
+            out[mid] = cum[j] + self._ksq_cells(edges[j], tm)
+        if np.any(far):
+            out[far] = 1.0 - self._ksq_tail_series(arr[far])
+        return out if out.ndim else float(out)
+
+    def ksq_cum_grid(self, delta: float, count: int) -> np.ndarray:
+        """``int_0^{k delta} K(u)^2 du`` for ``k = 0..count`` (array).
+
+        Accumulated cell by cell: below the asymptotic switch each cell gets
+        one fixed rule and the masses are summed cumulatively onto
+        ``ksq_cum(delta)``, so the cost is linear in ``count``; from the
+        switch on, the closed-form tail series is used exactly as in
+        :meth:`ksq_cum`.
+        """
+        if delta <= 0.0:
+            raise ValueError(f"delta must be positive; got {delta!r}")
+        if count < 1:
+            raise ValueError(f"count must be >= 1; got {count!r}")
+        t = delta * np.arange(count + 1)
+        out = np.zeros(count + 1)
+        out[1] = self.ksq_cum(delta)
+        near = 2 + int(np.count_nonzero(t[2:] < _ASYM_SWITCH_K))
+        out[2:near] = out[1] + np.cumsum(self._ksq_cells(t[1: near - 1], t[2:near]))
+        out[near:] = 1.0 - self._ksq_tail_series(t[near:])
+        return out
+
+    def ksq_tail(self, t):
+        """``int_t^infty K(u)^2 du`` (scalar or array; the unresolved-history
+        variance).
+
+        For ``t >= 60`` the square of the kernel's asymptotic series is
+        integrated termwise; below that, the complement of ``ksq_cum``.
+        """
+        arr = np.asarray(t, dtype=float)
+        if np.any(arr < 0.0):
+            raise ValueError("ksq_tail requires t >= 0")
+        out = np.empty_like(arr)
+        near = arr < _ASYM_SWITCH_K
+        if np.any(near):
+            out[near] = 1.0 - self.ksq_cum(arr[near])
+        if np.any(~near):
+            out[~near] = self._ksq_tail_series(arr[~near])
+        return out if out.ndim else float(out)
 
     # -- sign structure ------------------------------------------------------
 
@@ -538,7 +615,12 @@ def cov_CZ(s, ce: CovarianceEval):
 # -- bivariate Gaussian functionals ----------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _gh_nodes(order: int):
+    """Probabilists' Gauss--Hermite nodes and weights, built once per order.
+
+    The cached arrays are shared by every caller and therefore read-only.
+    """
     if not (2 <= order <= 320):
         raise ValueError(
             "gh_order must be in [2, 320] (Gauss-Hermite weights underflow "
@@ -546,7 +628,11 @@ def _gh_nodes(order: int):
         )
     nodes, weights = np.polynomial.hermite.hermgauss(int(order))
     # Physicists' Hermite: E[f(N(0,1))] = sum w_i f(sqrt(2) x_i) / sqrt(pi).
-    return math.sqrt(2.0) * nodes, weights / math.sqrt(math.pi)
+    nodes = math.sqrt(2.0) * nodes
+    weights = weights / math.sqrt(math.pi)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def gaussian_expect(fn, gh_order: int = 40):
@@ -643,33 +729,25 @@ def cov_RL(t: float, s: float, ke: KernelEval) -> float:
 
     a = ke._a
     nodes, weights = np.polynomial.legendre.leggauss(24)
-
-    def integral(lo: float, hi: float, graded: bool) -> float:
-        if graded:
-            # substitution u = w^(1/a) flattens the u^(a-1) origin singularity
-            w_lo, w_hi = lo**a, hi**a
-            edges = np.linspace(w_lo, w_hi, 17)
-            total = 0.0
-            for left, right in zip(edges[:-1], edges[1:]):
-                mid, half = 0.5 * (left + right), 0.5 * (right - left)
-                wn = mid + half * nodes
-                un = wn ** (1.0 / a)
-                vals = ke.kernel_K(un) * ke.kernel_K(un + s)
-                jac = (1.0 / a) * wn ** (1.0 / a - 1.0)
-                total += half * float(np.dot(weights, vals * jac))
-            return total
-        edges = np.exp(np.linspace(math.log(lo), math.log(hi), 33))
-        total = 0.0
-        for left, right in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (left + right), 0.5 * (right - left)
-            un = mid + half * nodes
-            vals = ke.kernel_K(un) * ke.kernel_K(un + s)
-            total += half * float(np.dot(weights, vals))
-        return total
-
-    out = integral(0.0, min(t, 1.0), graded=True)
+    # [0, min(t, 1)] in w = u^a, which flattens the u^(a-1) origin
+    # singularity, then [1, t] on geometric panels; all nodes in one array
+    w_edges = np.linspace(0.0, min(t, 1.0) ** a, 17)
+    w_half = 0.5 * (w_edges[1:] - w_edges[:-1])
+    wn = (0.5 * (w_edges[1:] + w_edges[:-1]))[:, None] + w_half[:, None] * nodes
+    parts = [(wn ** (1.0 / a), w_half, (1.0 / a) * wn ** (1.0 / a - 1.0))]
     if t > 1.0:
-        out += integral(1.0, t, graded=False)
+        edges = np.exp(np.linspace(0.0, math.log(t), 33))
+        half = 0.5 * (edges[1:] - edges[:-1])
+        un = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * nodes
+        parts.append((un, half, 1.0))
+    u = np.concatenate([p[0].ravel() for p in parts])
+    vals = ke.kernel_K(u) * ke.kernel_K(u + s)
+    out = 0.0
+    start = 0
+    for un, half, jac in parts:
+        panel = (vals[start: start + un.size].reshape(un.shape) * jac) @ weights
+        out += float(np.dot(half, panel))
+        start += un.size
     return out
 
 

@@ -233,7 +233,6 @@ class _SchemeWeights:
     w_conv: np.ndarray        # M'_k / sqrt(delta'), fine cells k
     r_std: float              # std of the nearest-fine-cell variance repair
     eta_std: np.ndarray       # std of the pre-warmup tail compensator, i=0..n
-    abs_mass: float = 0.0
 
 
 def _scheme_weights(mp: ModelParams, grid: SimGrid) -> _SchemeWeights:
@@ -246,11 +245,10 @@ def _scheme_weights(mp: ModelParams, grid: SimGrid) -> _SchemeWeights:
     masses = ke.cell_masses(fine, kappa * (n_w + n))
     w_conv = masses / math.sqrt(fine)
     r_var = max(ke.ksq_first_cell(fine) - masses[0] ** 2 / fine, 0.0)
-    eta_std = np.sqrt([ke.ksq_tail((n_w + i) * delta) for i in range(n + 1)])
+    eta_std = np.sqrt(ke.ksq_tail((n_w + np.arange(n + 1)) * delta))
     return _SchemeWeights(
         n=n, n_w=n_w, kappa=kappa, delta=delta, sig_ou=ke.sigma_ou,
         w_conv=w_conv, r_std=math.sqrt(r_var), eta_std=eta_std,
-        abs_mass=ke.abs_integral(),
     )
 
 

@@ -353,3 +353,23 @@ def test_invalid_thread_env_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("ROUGHVOL_THREADS", "zero")
     assert cli.main(["study", "termstructure"]) == 2
     assert "ROUGHVOL_THREADS" in capsys.readouterr().err
+
+
+def test_study_phi_uses_grid_section(tmp_path):
+    # [grid] points_per_eps reaches the study: a finer grid changes the
+    # report body, not only the config hash in its header
+    bodies = []
+    for ppe in (4, 8):
+        cfg_path = tmp_path / f"phi{ppe}.json"
+        cfg_path.write_text(json.dumps({
+            "grid": {"points_per_eps": ppe},
+            "study": {"n_paths": 64, "seed": 0, "eps_grid": [0.4, 0.2, 0.1, 0.05]},
+        }))
+        out = tmp_path / f"out{ppe}"
+        assert cli.main(["study", "phi", "--config", str(cfg_path),
+                         "--out", str(out), "--format", "csv"]) == 0
+        lines = (out / "phi.csv").read_text().splitlines()
+        bodies.append([line for line in lines if not line.startswith("#")])
+    assert bodies[0][0] == bodies[1][0] == "eps,mean_sq,mean_sq_se,mean,mean_se"
+    assert len(bodies[0]) == len(bodies[1]) == 5
+    assert bodies[0] != bodies[1]

@@ -159,6 +159,17 @@ def test_tabulated_vol_rejects_non_monotone_spline():
         TabulatedVol(z, v)
 
 
+@pytest.mark.parametrize("vf", [
+    BoundedSigmoid(0.05, 0.85, 3.5),
+    TabulatedVol([-3.0, -1.5, 0.0, 1.5, 3.0], [0.12, 0.16, 0.2, 0.24, 0.28]),
+    ConstantVol(0.2),
+], ids=["sigmoid", "tabulated", "constant"])
+def test_ffp_is_bitwise_product_of_value_and_derivative(vf):
+    z = np.concatenate((np.linspace(-12.0, 12.0, 2000), [-40.0, 40.0]))
+    assert np.array_equal(vf.ffp(z), vf(z) * vf.deriv(z))
+    assert np.array_equal(vf.ffp(z.reshape(2, -1)), (vf(z) * vf.deriv(z)).reshape(2, -1))
+
+
 # ---------------------------------------------------------------------------
 # moments and sigma_bar
 

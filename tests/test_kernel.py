@@ -244,6 +244,31 @@ def test_kernel_free_function():
     assert kernel_K(1.0, ke) == ke.kernel_K(1.0)
 
 
+def _kernel_oracle(mpmath, h, t):
+    """``K(t)`` from the Kummer form in the ambient mpmath precision."""
+    a = mpmath.mpf(h) + mpmath.mpf(1) / 2
+    t = mpmath.mpf(t)
+    norm = (mpmath.sqrt(1 / (2 * mpmath.sin(mpmath.pi * mpmath.mpf(h))))
+            * mpmath.gamma(a))
+    return (t ** (a - 1) - mpmath.exp(-t) * t**a * mpmath.hyp1f1(a, a + 1, t) / a) / norm
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.3, 0.45])
+def test_kernel_matches_mpmath_oracle(h):
+    mpmath = pytest.importorskip("mpmath")
+    ke = KernelEval(h)
+    # the fixed-rule range (split_point, 60), ends included, then all routes
+    # over t in [1e-6, 1e4] with both switch points (t = 1, t = 60) straddled
+    mid = np.concatenate((np.geomspace(1.001, 59.9, 25),
+                          [np.nextafter(1.0, 2.0), np.nextafter(60.0, 0.0)]))
+    ts = np.concatenate((mid, np.geomspace(1e-6, 1e4, 41), [1.0, 60.0]))
+    with mpmath.workdps(40):
+        ref = np.array([float(_kernel_oracle(mpmath, h, t)) for t in ts])
+    assert np.max(np.abs(ke.kernel_large(mid) - ref[: mid.size])) <= 1e-13
+    got = ke.kernel_K(ts)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
 # ---------------------------------------------------------------------------
 # normalization and integrated kernel
 # ---------------------------------------------------------------------------
@@ -274,6 +299,29 @@ def test_ksq_cum_grid_matches_pointwise():
         ke.ksq_cum_grid(0.0, 4)
     with pytest.raises(ValueError):
         ke.ksq_cum_grid(0.5, 0)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.3, 0.45])
+def test_ksq_cum_matches_mpmath_oracle(h):
+    mpmath = pytest.importorskip("mpmath")
+    ke = KernelEval(h)
+    with mpmath.workdps(30):
+        hm = mpmath.mpf(h)
+        p = 1 / (2 * hm)
+        # u = v^(1/(2H)) turns the u^(2H-1) endpoint singularity of K^2 into
+        # a bounded integrand; plain quadrature in u is off by up to 4e-4
+        head = mpmath.quad(
+            lambda v: _kernel_oracle(mpmath, h, v**p) ** 2 * p * v ** (p - 1), [0, 1])
+        edges = [1, 2, 4, 8, 16, 30, 45, 59.5]
+        pieces = [mpmath.quad(lambda u: _kernel_oracle(mpmath, h, u) ** 2, [lo, hi])
+                  for lo, hi in zip(edges[:-1], edges[1:])]
+        ref = {2.0: head + pieces[0], 30.0: head + sum(pieces[:5]),
+               59.5: head + sum(pieces)}
+    assert ke.ksq_first_cell(1.0) == pytest.approx(float(head), abs=1e-13)
+    for t, expected in ref.items():
+        assert ke.ksq_cum(t) == pytest.approx(float(expected), abs=1e-11), t
+    vec = ke.ksq_cum(np.array(sorted(ref)))
+    assert np.allclose(vec, [ke.ksq_cum(t) for t in sorted(ref)], rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("h", sorted(Q0_ORACLE))
@@ -579,3 +627,18 @@ def test_bivariate_expect_independent_product():
     a = bivariate_expect(f, f, 0.0)
     m = gaussian_expect(f)
     assert a == pytest.approx(m * m, rel=1e-12)
+
+
+def test_gh_nodes_built_once_and_read_only():
+    from roughvol.kernel import _gh_nodes
+
+    nodes, weights = _gh_nodes(37)
+    again = _gh_nodes(37)
+    assert again[0] is nodes and again[1] is weights
+    assert nodes.shape == weights.shape == (37,)
+    assert weights.sum() == pytest.approx(1.0, rel=1e-13)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(ValueError):
+        _gh_nodes(321)
