@@ -19,22 +19,18 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, signal, special
+from scipy import integrate, special
+from scipy import signal  # noqa: F401  (bench/tracer.py proxies experiments.signal)
 
 from . import pricing
 from .gaussfunc import GroupParams, g_prime_sup, group_params, mean_FFp
-from .kernel import KernelEval, _gh_nodes
+from .kernel import _gh_nodes
 from .simulate import (
+    FactorSampler,
     ModelParams,
     SimGrid,
+    normal_blocks,
     simulate_paths,
-    _batch_rows,
-    _block_sum_increments,
-    _expand_antithetic,
-    _philox_normals,
-    _scheme_weights,
-    _x_from_vol,
-    _z_from_normals,
 )
 
 __all__ = [
@@ -276,6 +272,15 @@ def _check_dyadic(eps_grid: Sequence[float], min_points: int = 4):
     return eps
 
 
+def _check_se_paths(name: str, count) -> None:
+    """Reports with a sample standard error need at least two paths."""
+    if not (isinstance(count, int) and count >= 2):
+        raise ValueError(
+            f"{name} must be an integer >= 2 for a sample standard error; "
+            f"got {count!r}"
+        )
+
+
 def _dyadic_grids(mp_base: ModelParams, eps: Sequence[float],
                   points_per_eps: int, warmup_mult: float):
     """Nested grids sharing a common finest refinement (for CRN coupling)."""
@@ -341,25 +346,18 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
     no-prehistory variant) instead of stationarily.
     """
     eps = _check_dyadic(eps_grid)
-    if n_paths % 2:
-        raise ValueError("antithetic pairing requires an even n_paths")
-    gp = group_params(mp_base)
     n_fine, models, grids, factors = _dyadic_grids(
         mp_base, eps, points_per_eps, warmup_mult
     )
-    sws = [_scheme_weights(m, g) for m, g in zip(models, grids)]
-    kap = sws[0].kappa
+    samplers = [FactorSampler(m, g, zero_start) for m, g in zip(models, grids)]
+    kap = samplers[0].kappa
 
     # per-row layout: fine pools for the shared increments on [0, T], then
-    # per-epsilon dedicated draws (warmup, first-cell repair, tail)
-    sizes = [kap * n_fine, n_fine]
-    for sw in sws:
-        if zero_start:
-            sizes.extend([sw.n])                        # repair r_1..r_n
-        else:
-            sizes.extend([kap * sw.n_w, sw.n + 1, sw.n + 1])
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-    ncols = int(offsets[-1])
+    # each sampler's own draws (warmup increments, first-cell repairs, tail)
+    sizes = [kap * n_fine, n_fine] + [w for s in samplers for w in s.widths]
+    cuts = np.cumsum(sizes)[:-1]
+    blocks = normal_blocks(seed, n_paths, sum(sizes), antithetic=True)
+    gp = group_params(mp_base)
 
     bs_center = float(pricing.bs_price(
         mp_base.x0, payoff, gp.sigma_bar, mp_base.maturity_T
@@ -369,32 +367,20 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
 
     pair_units = [[] for _ in eps]       # pair means of the CV-adjusted payoff
     interior_units = [[] for _ in eps]   # pair means of h(X_T) - Q_{T/2}(X_{T/2})
-    for batch_index, draw_rows, use_rows in _batch_rows(n_paths, True):
-        block = _philox_normals(seed, batch_index, (draw_rows, ncols))
-        block = _expand_antithetic(block, use_rows)
-        pool_xi = block[:, offsets[0]: offsets[1]]
-        pool_zeta = block[:, offsets[1]: offsets[2]]
-        slot = 2
-        for idx, (mp, grid, sw, factor) in enumerate(
-            zip(models, grids, sws, factors)
+    for block in blocks:
+        pool_xi, pool_zeta, *own = np.split(block, cuts, axis=1)
+        for idx, (mp, grid, sampler, factor) in enumerate(
+            zip(models, grids, samplers, factors)
         ):
-            shared_fine = _block_sum_increments(pool_xi, factor)
-            zeta = _block_sum_increments(pool_zeta, factor)
-            if zero_start:
-                r = block[:, offsets[slot]: offsets[slot + 1]]
-                slot += 1
-                z = _rl_z_from_normals(sw, shared_fine, r)
-                xi_w = _block_sum_increments(shared_fine, kap)
-            else:
-                warm = block[:, offsets[slot]: offsets[slot + 1]]
-                r = block[:, offsets[slot + 1]: offsets[slot + 2]]
-                eta = block[:, offsets[slot + 2]: offsets[slot + 3]]
-                slot += 3
-                xi_fine = np.concatenate([warm, shared_fine], axis=1)
-                z = _z_from_normals(sw, xi_fine, r, eta)
-                xi_w = _block_sum_increments(shared_fine, kap)
+            warm, r, eta = own[3 * idx: 3 * idx + 3]
+            shared_fine = sampler.block_sums(pool_xi, factor)
+            zeta = sampler.block_sums(pool_zeta, factor)
+            xi = (np.concatenate([warm, shared_fine], axis=1) if sampler.n_w
+                  else shared_fine)
+            z = sampler.z_from_normals(xi, r, eta)
+            xi_w = sampler.block_sums(shared_fine, kap)
             sigma = mp.vol_fn(z)
-            x = _x_from_vol(mp, grid.dt, sigma, xi_w, zeta)
+            x = sampler.prices(sigma, xi_w, zeta)
             hx = np.asarray(payoff(x[:, -1]), dtype=float)
             # conditionally on the volatility-side draws, X_T is lognormal:
             # price that law in closed form (integrating out the orthogonal
@@ -481,30 +467,7 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
     )
 
 
-def _rl_z_from_normals(sw, xi_fine: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Zero-started factor values from [0,T] fine increments (z0 = 0)."""
-    kap, n = sw.kappa, sw.n
-    conv = signal.fftconvolve(xi_fine, sw.w_conv[None, : kap * n], mode="full",
-                              axes=1)
-    z = np.empty((xi_fine.shape[0], n + 1))
-    z[:, 0] = 0.0
-    z[:, 1:] = sw.sig_ou * (conv[:, kap - 1: kap * n: kap] + sw.r_std * r)
-    return z
-
-
 # -- conditional-expectation machinery for the remainder checks -----------------
-
-
-def _conditional_means(sw, warm_xi: np.ndarray, fine: bool = False) -> np.ndarray:
-    """E[Z_s | time-0 information] for each path (warmup part of the MA).
-
-    Evaluated on the price grid, or with ``fine=True`` on every node of the
-    ``kappa``-times finer sub-grid the increments are drawn on.
-    """
-    conv = signal.fftconvolve(warm_xi, sw.w_conv[None, :], mode="full", axes=1)
-    start = sw.kappa * sw.n_w - 1
-    step = 1 if fine else sw.kappa
-    return sw.sig_ou * conv[:, start: start + sw.kappa * sw.n + 1: step]
 
 
 def _gaussian_profile(fn, means: np.ndarray, variances: np.ndarray,
@@ -585,18 +548,14 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     product is also formed at that time and the lag covariance
     ``Cov(sigma_0 vartheta_0, sigma_t vartheta_t)/eps`` is reported.
     """
-    from .simulate import _validate_grid
-
-    _validate_grid(mp, grid)
-    if not (isinstance(n_paths, int) and n_paths > 0):
-        raise ValueError(f"n_paths must be a positive integer; got {n_paths!r}")
+    sampler = FactorSampler(mp, grid)
+    _check_se_paths("n_paths", n_paths)
     gp = group_params(mp)
-    ke = KernelEval(mp.hurst)
-    sw = _scheme_weights(mp, grid)
-    n, n_w, kap = sw.n, sw.n_w, sw.kappa
+    ke = sampler.ke
+    n, n_w, kap = sampler.n, sampler.n_w, sampler.kappa
     n_fine = kap * n
-    fine = sw.delta / kap
-    so = sw.sig_ou
+    fine = sampler.delta / kap
+    so = sampler.sig_ou
     vol = mp.vol_fn
     masses = ke.cell_masses(fine, n_fine)
     variances = so**2 * ke.ksq_cum_grid(fine, n_fine)
@@ -619,12 +578,11 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     max_scaled = 0.0
     n_xi = kap * n_w if i_int is None else kap * (n_w + i_int)
     ncols = n_xi + (2 if i_int is None else 4)
-    for batch_index, draw_rows, use_rows in _batch_rows(n_paths, False):
-        block = _philox_normals(seed, batch_index, (draw_rows, ncols))[:use_rows]
+    for block in normal_blocks(seed, n_paths, ncols):
         warm = block[:, : kap * n_w]
-        m = _conditional_means(sw, warm, fine=True)
-        z0 = m[:, 0] + so * (sw.r_std * block[:, n_xi]
-                             + sw.eta_std[0] * block[:, n_xi + 1])
+        m = sampler.conditional_means(warm, fine=True)
+        z0 = m[:, 0] + so * (sampler.r_std * block[:, n_xi]
+                             + sampler.eta_std[0] * block[:, n_xi + 1])
         gprof = _gaussian_profile(vol.ffp, m, variances, gh_order)
         theta = so * sqeps * _trapezoid_cells(gprof, masses)
         sigma0 = vol(z0)
@@ -637,10 +595,10 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
         if i_int is not None:
             i_fine = kap * i_int
             avail = block[:, :n_xi]
-            m2 = _conditional_means(sw, avail, fine=True)[:, i_fine:]
+            m2 = sampler.conditional_means(avail, fine=True)[:, i_fine:]
             zt = m2[:, 0] + so * (
-                sw.r_std * block[:, n_xi + 2]
-                + sw.eta_std[i_int] * block[:, n_xi + 3]
+                sampler.r_std * block[:, n_xi + 2]
+                + sampler.eta_std[i_int] * block[:, n_xi + 3]
             )
             v2 = variances[: n_fine + 1 - i_fine]
             gprof2 = _gaussian_profile(vol.ffp, m2, v2, gh_order)
@@ -713,6 +671,7 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
     the fitted log-log slope and the (zero-mean) sample means per epsilon.
     """
     eps = _check_dyadic(eps_grid)
+    _check_se_paths("n_mc", n_mc)
     gp = group_params(mp_base)
     sb2 = gp.sigma_bar**2
     vol = mp_base.vol_fn
@@ -725,20 +684,17 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
         mp = replace(mp_base, eps=e)
         grid = SimGrid.for_model(mp, points_per_eps=points_per_eps,
                                  warmup_mult=warmup_mult)
-        sw = _scheme_weights(mp, grid)
-        ke = KernelEval(mp.hurst)
-        n, n_w, kap = sw.n, sw.n_w, sw.kappa
-        variances = sw.sig_ou**2 * ke.ksq_cum_grid(sw.delta, n)
+        sampler = FactorSampler(mp, grid)
+        n, n_w, kap = sampler.n, sampler.n_w, sampler.kappa
+        variances = sampler.sig_ou**2 * sampler.ke.ksq_cum_grid(sampler.delta, n)
         trap_w = np.full(n + 1, grid.dt)
         trap_w[0] = trap_w[-1] = 0.5 * grid.dt
         seed_eps = int(np.random.SeedSequence(
             entropy=int(seed), spawn_key=(stream,)
         ).generate_state(1, np.uint64)[0])
         phis = []
-        for batch_index, draw_rows, use_rows in _batch_rows(n_mc, False):
-            block = _philox_normals(seed_eps, batch_index,
-                                    (draw_rows, kap * n_w))[:use_rows]
-            m = _conditional_means(sw, block)
+        for block in normal_blocks(seed_eps, n_mc, kap * n_w):
+            m = sampler.conditional_means(block)
             gprof = _gaussian_profile(g_fn, m, variances, gh_order)
             phis.append(gprof @ trap_w)
         phi = np.concatenate(phis)
@@ -797,6 +753,7 @@ def kappa_check(mp_base: ModelParams, eps_grid: Sequence[float],
     sample means.
     """
     eps = _check_dyadic(eps_grid)
+    _check_se_paths("n_mc", n_mc)
     gp = group_params(mp_base)
     sb2 = gp.sigma_bar**2
     sup_mean_sq, final_means, final_ses = [], [], []

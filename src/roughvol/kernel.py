@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg, optimize, special
+from scipy import integrate, optimize, special
 
 __all__ = [
     "Hurst",
@@ -46,6 +46,7 @@ __all__ = [
     "cov_sigma",
     "cov_RL",
     "cz_matrix_cholesky",
+    "jittered_cholesky",
 ]
 
 # Default tail beyond which the asymptotic series for K is used; the series
@@ -751,12 +752,34 @@ def cov_RL(t: float, s: float, ke: KernelEval) -> float:
     return out
 
 
-def cz_matrix_cholesky(times, eps: float, ce: CovarianceEval, jitter_max: float = 1e-10):
+def jittered_cholesky(cov: np.ndarray):
+    """Lower Cholesky factor of ``cov`` with the smallest jitter that works.
+
+    Tries an exact factorization first, then adds ``jitter * max(diag)`` to
+    the diagonal for ``jitter`` in ``(1e-14, 1e-12, 1e-10)``; raises if the
+    matrix is still not positive semidefinite at that point.
+
+    Returns
+    -------
+    (chol, jitter) : (ndarray, float)
+    """
+    scale = float(np.max(np.diag(cov)))
+    for jitter in (0.0, 1e-14, 1e-12, 1e-10):
+        try:
+            chol = np.linalg.cholesky(cov + jitter * scale * np.eye(cov.shape[0]))
+        except np.linalg.LinAlgError:
+            continue
+        return chol, jitter
+    raise RuntimeError(
+        "covariance matrix is not positive semidefinite even after jitter 1e-10"
+    )
+
+
+def cz_matrix_cholesky(times, eps: float, ce: CovarianceEval):
     """Covariance matrix ``sigma_ou^2 C_Z((t_i - t_j)/eps)`` and its Cholesky factor.
 
-    Tries an exact factorization first, then escalates a diagonal jitter up
-    to ``jitter_max``; raises if the matrix is still not positive
-    semidefinite at that point.
+    The factor comes from :func:`jittered_cholesky`; ``jitter`` is relative
+    to the largest diagonal entry.
 
     Returns
     -------
@@ -770,14 +793,4 @@ def cz_matrix_cholesky(times, eps: float, ce: CovarianceEval, jitter_max: float 
     unique, inverse = np.unique(lags.ravel(), return_inverse=True)
     vals = np.asarray(ce.cov_CZ(unique), dtype=float)
     cov = so2 * vals[inverse].reshape(lags.shape)
-    for jitter in (0.0, 1e-14, 1e-12, jitter_max):
-        if jitter > jitter_max:
-            break
-        try:
-            chol = linalg.cholesky(cov + jitter * np.eye(cov.shape[0]), lower=True)
-            return cov, chol, jitter
-        except linalg.LinAlgError:
-            continue
-    raise RuntimeError(
-        f"covariance matrix is not positive semidefinite after jitter {jitter_max}"
-    )
+    return (cov, *jittered_cholesky(cov))

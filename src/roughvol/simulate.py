@@ -28,6 +28,15 @@ tens of percent at small H), and ``eta_i`` compensates the truncated
 pre-warmup history with variance ``int_(warmup+t_i)/eps^inf K^2``.  The
 residual covariance error is measured by :func:`exact_gaussian_check`.
 
+The same scheme gives the zero-started factor
+``Z_t = sigma_ou int_0^t K_eps(t - s) dW_s`` (the Riemann--Liouville
+variant of :func:`simulate_paths_RL` and of ``convergence_study`` with
+``zero_start=True``): the sum runs over the increments since ``t = 0``
+only, so ``Z_0 = 0`` and there is neither warmup nor ``eta_i``.
+:class:`FactorSampler` holds the scheme for one grid in either mode, and
+:func:`normal_blocks` draws the standard normals every simulator and study
+consumes.
+
 The price update is the exact lognormal step for piecewise-constant
 volatility, so convergence studies isolate the volatility approximation.
 """
@@ -38,19 +47,21 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy import signal
 
 from .gaussfunc import VolFunction
-from .kernel import CovarianceEval, KernelEval, _hurst_value
+from .kernel import CovarianceEval, KernelEval, _hurst_value, jittered_cholesky
 
 __all__ = [
     "ModelParams",
     "SimGrid",
     "PathBundle",
     "ExactGaussianReport",
+    "FactorSampler",
+    "normal_blocks",
     "simulate_paths",
     "simulate_paths_RL",
     "exact_gaussian_check",
@@ -196,7 +207,7 @@ class ExactGaussianReport:
     warmup_horizon: float
 
 
-def _validate_grid(mp: ModelParams, grid: SimGrid):
+def _validate_grid(mp: ModelParams, grid: SimGrid, warmup: bool = True):
     if abs(grid.n_steps * grid.dt - mp.maturity_T) > 1e-9 * mp.maturity_T:
         raise ValueError(
             f"grid spans {grid.n_steps * grid.dt!r} years but maturity is "
@@ -208,7 +219,7 @@ def _validate_grid(mp: ModelParams, grid: SimGrid):
                 f"dt={grid.dt!r} violates dt <= eps/4 = {mp.eps / 4.0!r}; "
                 "the grid must resolve the fast scale"
             )
-        if grid.warmup_horizon < 20.0 * mp.eps * (1.0 - 1e-12):
+        if warmup and grid.warmup_horizon < 20.0 * mp.eps * (1.0 - 1e-12):
             raise ValueError(
                 f"warmup_horizon={grid.warmup_horizon!r} violates "
                 f"warmup >= 20*eps = {20.0 * mp.eps!r}"
@@ -221,82 +232,43 @@ def _validate_grid(mp: ModelParams, grid: SimGrid):
             )
 
 
-@dataclass(frozen=True)
-class _SchemeWeights:
-    """Precomputed discretization quantities (dimensionless, eps units)."""
+def normal_blocks(seed: int, n_paths: int, ncols: int,
+                  antithetic: bool = False) -> Iterator[np.ndarray]:
+    """Standard normal draws for ``n_paths`` rows of ``ncols``, in batches.
 
-    n: int
-    n_w: int
-    kappa: int
-    delta: float
-    sig_ou: float
-    w_conv: np.ndarray        # M'_k / sqrt(delta'), fine cells k
-    r_std: float              # std of the nearest-fine-cell variance repair
-    eta_std: np.ndarray       # std of the pre-warmup tail compensator, i=0..n
+    Batch ``b`` holds rows ``4096 b`` onwards and starts at counter
+    ``b * 2^128`` of a Philox stream keyed by the seed, so batches never
+    overlap, the content of a batch does not depend on how many are
+    consumed, and the first ``m`` rows do not depend on ``n_paths >= m``.
+    With ``antithetic=True`` each batch draws half its rows and interleaves
+    each with its negation (rows ``2m, 2m+1``).
 
-
-def _scheme_weights(mp: ModelParams, grid: SimGrid) -> _SchemeWeights:
-    ke = KernelEval(mp.hurst)
-    delta = grid.dt / mp.eps
-    n = grid.n_steps
-    n_w = int(round(grid.warmup_horizon / grid.dt))
-    kappa = _OVERSAMPLE
-    fine = delta / kappa
-    masses = ke.cell_masses(fine, kappa * (n_w + n))
-    w_conv = masses / math.sqrt(fine)
-    r_var = max(ke.ksq_first_cell(fine) - masses[0] ** 2 / fine, 0.0)
-    eta_std = np.sqrt(ke.ksq_tail((n_w + np.arange(n + 1)) * delta))
-    return _SchemeWeights(
-        n=n, n_w=n_w, kappa=kappa, delta=delta, sig_ou=ke.sigma_ou,
-        w_conv=w_conv, r_std=math.sqrt(r_var), eta_std=eta_std,
-    )
-
-
-def _philox_normals(seed: int, batch_index: int, shape) -> np.ndarray:
-    """Standard normals for one batch from a counter-based substream.
-
-    Batch ``b`` starts at counter ``b * 2^128`` of a Philox stream keyed by
-    the seed, so batches never overlap and the content of batch ``b`` does
-    not depend on how many batches are consumed.
+    Raises
+    ------
+    ValueError
+        If ``n_paths`` is not a positive integer, or if ``antithetic`` and
+        ``n_paths`` is odd.  Both are checked on the call, before any draw.
     """
+    if not (isinstance(n_paths, int) and n_paths > 0):
+        raise ValueError(f"n_paths must be a positive integer; got {n_paths!r}")
+    if antithetic and n_paths % 2:
+        raise ValueError("antithetic sampling requires an even n_paths")
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
-    bit = np.random.Philox(key=key, counter=int(batch_index) << 128)
-    return np.random.Generator(bit).standard_normal(shape)
+    rows = _BATCH_PATHS // 2 if antithetic else _BATCH_PATHS
 
+    def blocks():
+        for batch_index, first in enumerate(range(0, n_paths, _BATCH_PATHS)):
+            use = min(_BATCH_PATHS, n_paths - first)
+            bit = np.random.Philox(key=key, counter=batch_index << 128)
+            block = np.random.Generator(bit).standard_normal((rows, ncols))
+            if antithetic:
+                pairs = np.empty((2 * rows, ncols))
+                pairs[0::2] = block
+                pairs[1::2] = -block
+                block = pairs
+            yield block[:use]
 
-def _batch_rows(n_paths: int, antithetic: bool) -> Iterator[tuple]:
-    """Yield (batch_index, n_draw_rows, n_use_rows) covering n_paths."""
-    produced = 0
-    batch_index = 0
-    per_batch = _BATCH_PATHS // 2 if antithetic else _BATCH_PATHS
-    while produced < n_paths:
-        use = min(_BATCH_PATHS, n_paths - produced)
-        yield batch_index, per_batch, use
-        produced += use
-        batch_index += 1
-
-
-def _expand_antithetic(base: np.ndarray, n_use: int) -> np.ndarray:
-    """Interleave each base row with its negation: rows (2m, 2m+1)."""
-    out = np.empty((2 * base.shape[0], base.shape[1]))
-    out[0::2] = base
-    out[1::2] = -base
-    return out[:n_use]
-
-
-def _z_from_normals(sw: _SchemeWeights, xi_fine: np.ndarray, r: np.ndarray,
-                    eta: np.ndarray) -> np.ndarray:
-    """Factor values Z_0..Z_n from standardized fine increments (batch rows)."""
-    conv = signal.fftconvolve(xi_fine, sw.w_conv[None, :], mode="full", axes=1)
-    start = sw.kappa * sw.n_w - 1
-    core = conv[:, start: start + sw.kappa * sw.n + 1: sw.kappa]
-    return sw.sig_ou * (core + sw.r_std * r + sw.eta_std[None, :] * eta)
-
-
-def _block_sum_increments(xi_fine_pricing: np.ndarray, kappa: int) -> np.ndarray:
-    """Standardized price-grid increments from the fine sub-increments."""
-    b, m = xi_fine_pricing.shape
-    return xi_fine_pricing.reshape(b, m // kappa, kappa).sum(axis=2) / math.sqrt(kappa)
+    return blocks()
 
 
 def _x_from_vol(mp: ModelParams, dt: float, sigma: np.ndarray,
@@ -310,6 +282,128 @@ def _x_from_vol(mp: ModelParams, dt: float, sigma: np.ndarray,
     x[:, 0] = mp.x0
     x[:, 1:] = mp.x0 * np.exp(log_x)
     return x
+
+
+class FactorSampler:
+    """The moving-average scheme for ``Z`` on one grid.
+
+    Built once per ``(mp, grid)``: it validates the grid, precomputes the
+    scheme weights (dimensionless, eps units) and turns standard normal
+    draws into factor values, price increments and prices.  Stationary by
+    default; with ``zero_start=True`` the factor has no history before
+    ``t = 0``, so ``Z_0 = 0``, there are no warmup increments, no tail
+    compensator and no repair draw at ``t = 0``, and the warmup of the grid
+    is neither used nor checked.
+
+    Attributes
+    ----------
+    ke : KernelEval
+        The kernel evaluator the weights come from; ``sig_ou`` is its
+        ``sigma_ou``.
+    n, n_w, kappa : int
+        Price steps, warmup price steps (0 when zero-started) and fine
+        sub-steps per price step.
+    delta : float
+        ``dt / eps``.
+    w_conv : ndarray
+        ``M'_k / sqrt(delta')`` for the fine cells ``k``.
+    r_std : float
+        Std of the nearest-fine-cell variance repair.
+    eta_std : ndarray or None
+        Std of the pre-warmup tail compensator at ``i = 0..n`` (stationary
+        only).
+    widths : tuple
+        Per-row column counts of the sampler's own draws: warmup fine
+        increments, repairs ``r`` and tail compensators ``eta``.
+    ncols : int
+        Columns of a :meth:`bundle` block: the fine increments (warmup,
+        then ``[0, T]``), the orthogonal price shocks, ``r`` and ``eta``.
+    """
+
+    def __init__(self, mp: ModelParams, grid: SimGrid, zero_start: bool = False):
+        _validate_grid(mp, grid, warmup=not zero_start)
+        self.mp, self.grid, self.zero_start = mp, grid, zero_start
+        self.ke = ke = KernelEval(mp.hurst)
+        self.sig_ou = ke.sigma_ou
+        self.n = n = grid.n_steps
+        self.n_w = 0 if zero_start else int(round(grid.warmup_horizon / grid.dt))
+        self.kappa = kap = _OVERSAMPLE
+        self.delta = grid.dt / mp.eps
+        fine = self.delta / kap
+        masses = ke.cell_masses(fine, kap * (self.n_w + n))
+        self.w_conv = masses / math.sqrt(fine)
+        self.r_std = math.sqrt(max(ke.ksq_first_cell(fine) - masses[0] ** 2 / fine,
+                                   0.0))
+        if zero_start:
+            self.eta_std = None
+            self.widths = (0, n, 0)
+        else:
+            self.eta_std = np.sqrt(ke.ksq_tail((self.n_w + np.arange(n + 1))
+                                               * self.delta))
+            self.widths = (kap * self.n_w, n + 1, n + 1)
+        self.ncols = sum(self.widths) + (kap + 1) * n
+
+    def _convolve(self, xi: np.ndarray) -> np.ndarray:
+        return signal.fftconvolve(xi, self.w_conv[None, :], mode="full", axes=1)
+
+    def z_from_normals(self, xi: np.ndarray, r: np.ndarray,
+                       eta: np.ndarray) -> np.ndarray:
+        """Factor values ``Z_0..Z_n`` (batch rows) from standard normals.
+
+        ``xi`` holds the fine increments (warmup, then ``[0, T]``), ``r``
+        and ``eta`` the repair and tail draws; ``eta`` is ignored when
+        zero-started.
+        """
+        kap, n = self.kappa, self.n
+        conv = self._convolve(xi)
+        if self.zero_start:
+            z = np.empty((xi.shape[0], n + 1))
+            z[:, 0] = 0.0
+            z[:, 1:] = self.sig_ou * (conv[:, kap - 1: kap * n: kap]
+                                      + self.r_std * r)
+            return z
+        start = kap * self.n_w - 1
+        core = conv[:, start: start + kap * n + 1: kap]
+        return self.sig_ou * (core + self.r_std * r + self.eta_std[None, :] * eta)
+
+    def conditional_means(self, warm_xi: np.ndarray,
+                          fine: bool = False) -> np.ndarray:
+        """E[Z_s | time-0 information] for each path (warmup part of the MA).
+
+        Evaluated on the price grid, or with ``fine=True`` on every node of
+        the ``kappa``-times finer sub-grid the increments are drawn on.
+        """
+        conv = self._convolve(warm_xi)
+        start = self.kappa * self.n_w - 1
+        step = 1 if fine else self.kappa
+        return self.sig_ou * conv[:, start: start + self.kappa * self.n + 1: step]
+
+    @staticmethod
+    def block_sums(xi: np.ndarray, m: int) -> np.ndarray:
+        """Standardized sums of ``m`` consecutive standardized increments."""
+        b, cols = xi.shape
+        return xi.reshape(b, cols // m, m).sum(axis=2) / math.sqrt(m)
+
+    def prices(self, sigma: np.ndarray, xi_w: np.ndarray,
+               zeta: np.ndarray) -> np.ndarray:
+        """Prices on the grid from the vol path and standardized increments."""
+        return _x_from_vol(self.mp, self.grid.dt, sigma, xi_w, zeta)
+
+    def bundle(self, block: np.ndarray, seed: int,
+               decay: Optional[np.ndarray] = None) -> PathBundle:
+        """Paths from one block of ``ncols`` draws; ``decay`` is added to Z."""
+        kap, n, dt = self.kappa, self.n, self.grid.dt
+        nfine = kap * (self.n_w + n)
+        xi, zeta, r, eta = np.split(
+            block, [nfine, nfine + n, nfine + n + self.widths[1]], axis=1)
+        z = self.z_from_normals(xi, r, eta)
+        if decay is not None:
+            z += decay
+        sigma = self.mp.vol_fn(z)
+        xi_w = self.block_sums(xi[:, kap * self.n_w:], kap)
+        x = self.prices(sigma, xi_w, zeta)
+        return PathBundle(np.arange(n + 1) * dt, math.sqrt(dt) * xi_w,
+                          math.sqrt(dt) * zeta, z, sigma, x, seed)
 
 
 def _exact_joint_cov(mp: ModelParams, grid: SimGrid):
@@ -337,7 +431,7 @@ def _exact_joint_cov(mp: ModelParams, grid: SimGrid):
 
 def _scheme_joint_cov(mp: ModelParams, grid: SimGrid) -> np.ndarray:
     """Covariance of (Z_0..Z_n, dW) implied by the moving-average scheme."""
-    sw = _scheme_weights(mp, grid)
+    sw = FactorSampler(mp, grid)
     n, n_w, kap = sw.n, sw.n_w, sw.kappa
     so = sw.sig_ou
     cov = np.zeros((2 * n + 1, 2 * n + 1))
@@ -375,20 +469,7 @@ def exact_gaussian_check(mp: ModelParams, grid_small: SimGrid) -> ExactGaussianR
         )
     _validate_grid(mp, grid_small)
     exact = _exact_joint_cov(mp, grid_small)
-    jitter_used = 0.0
-    scale = float(np.max(np.diag(exact)))
-    for jitter in (0.0, 1e-14, 1e-12, 1e-10):
-        try:
-            np.linalg.cholesky(exact + jitter * scale * np.eye(exact.shape[0]))
-            jitter_used = jitter
-            break
-        except np.linalg.LinAlgError:
-            continue
-    else:
-        raise RuntimeError(
-            "exact joint covariance is not positive semidefinite even "
-            "after jitter 1e-10"
-        )
+    _, jitter = jittered_cholesky(exact)
     scheme = _scheme_joint_cov(mp, grid_small)
 
     def corr(m):
@@ -399,7 +480,7 @@ def exact_gaussian_check(mp: ModelParams, grid_small: SimGrid) -> ExactGaussianR
     return ExactGaussianReport(
         max_abs_corr_diff=diff,
         zero_offset_value=float(exact[0, 0]),
-        jitter=jitter_used,
+        jitter=jitter,
         n_steps=grid_small.n_steps,
         dt=grid_small.dt,
         warmup_horizon=grid_small.warmup_horizon,
@@ -422,68 +503,23 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
         ``warmup >= 20 eps`` under the moving-average scheme), if
         ``n_paths <= 0``, or if ``antithetic`` and ``n_paths`` is odd.
     """
-    if not (isinstance(n_paths, int) and n_paths > 0):
-        raise ValueError(f"n_paths must be a positive integer; got {n_paths!r}")
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic sampling requires an even n_paths")
-    _validate_grid(mp, grid)
-    n = grid.n_steps
-    times = np.arange(n + 1) * grid.dt
-
-    if grid.scheme == "CholeskyExact":
-        exact = _exact_joint_cov(mp, grid)
-        scale = float(np.max(np.diag(exact)))
-        chol = None
-        for jitter in (0.0, 1e-14, 1e-12, 1e-10):
-            try:
-                chol = np.linalg.cholesky(
-                    exact + jitter * scale * np.eye(exact.shape[0])
-                )
-                break
-            except np.linalg.LinAlgError:
-                continue
-        if chol is None:
-            raise RuntimeError(
-                "exact joint covariance is not positive semidefinite even "
-                "after jitter 1e-10"
-            )
-        ncols = (2 * n + 1) + n
-        for batch_index, draw_rows, use_rows in _batch_rows(n_paths, antithetic):
-            block = _philox_normals(seed, batch_index, (draw_rows, ncols))
-            if antithetic:
-                block = _expand_antithetic(block, use_rows)
-            else:
-                block = block[:use_rows]
-            zw = block[:, : 2 * n + 1] @ chol.T
-            z = zw[:, : n + 1]
-            dw = zw[:, n + 1:]
-            zeta = block[:, 2 * n + 1:]
-            sigma = mp.vol_fn(z)
-            x = _x_from_vol(mp, grid.dt, sigma, dw / math.sqrt(grid.dt), zeta)
-            yield PathBundle(times, dw, math.sqrt(grid.dt) * zeta, z, sigma,
-                             x, seed)
+    if grid.scheme == "TruncatedMovingAverage":
+        sampler = FactorSampler(mp, grid)
+        for block in normal_blocks(seed, n_paths, sampler.ncols, antithetic):
+            yield sampler.bundle(block, seed)
         return
-
-    sw = _scheme_weights(mp, grid)
-    n_w, kap = sw.n_w, sw.kappa
-    nfine = kap * (n_w + n)
-    ncols = nfine + n + (n + 1) + (n + 1)
-    for batch_index, draw_rows, use_rows in _batch_rows(n_paths, antithetic):
-        block = _philox_normals(seed, batch_index, (draw_rows, ncols))
-        if antithetic:
-            block = _expand_antithetic(block, use_rows)
-        else:
-            block = block[:use_rows]
-        xi_fine = block[:, :nfine]
-        zeta = block[:, nfine: nfine + n]
-        r = block[:, nfine + n: nfine + 2 * n + 1]
-        eta = block[:, nfine + 2 * n + 1:]
-        z = _z_from_normals(sw, xi_fine, r, eta)
+    _validate_grid(mp, grid)
+    chol, _ = jittered_cholesky(_exact_joint_cov(mp, grid))
+    n, dt = grid.n_steps, grid.dt
+    times = np.arange(n + 1) * dt
+    for block in normal_blocks(seed, n_paths, 3 * n + 1, antithetic):
+        zw = block[:, : 2 * n + 1] @ chol.T
+        z = zw[:, : n + 1]
+        dw = zw[:, n + 1:]
+        zeta = block[:, 2 * n + 1:]
         sigma = mp.vol_fn(z)
-        xi_w = _block_sum_increments(xi_fine[:, kap * n_w:], kap)
-        x = _x_from_vol(mp, grid.dt, sigma, xi_w, zeta)
-        yield PathBundle(times, math.sqrt(grid.dt) * xi_w,
-                         math.sqrt(grid.dt) * zeta, z, sigma, x, seed)
+        x = _x_from_vol(mp, dt, sigma, dw / math.sqrt(dt), zeta)
+        yield PathBundle(times, dw, math.sqrt(dt) * zeta, z, sigma, x, seed)
 
 
 def simulate_paths_RL(mp: ModelParams, grid: SimGrid, z0: float,
@@ -491,57 +527,19 @@ def simulate_paths_RL(mp: ModelParams, grid: SimGrid, z0: float,
                       antithetic: bool = False) -> Iterator[PathBundle]:
     """Riemann--Liouville variant: no pre-history, started at ``Z_0 = z0``.
 
-    ``Z_t = z0 exp(-t/eps) + sigma_ou int_0^t K_eps(t-s) dW_s`` discretized
-    with the same cell-mass scheme (without warmup or tail compensation,
-    both of which are identically absent here).
+    ``Z_t = z0 exp(-t/eps) + sigma_ou int_0^t K_eps(t-s) dW_s``: the
+    zero-started :class:`FactorSampler` plus the decay of ``z0``.  The grid
+    is checked as for :func:`simulate_paths`, except its warmup, which is
+    not used.
     """
-    if not (isinstance(n_paths, int) and n_paths > 0):
-        raise ValueError(f"n_paths must be a positive integer; got {n_paths!r}")
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic sampling requires an even n_paths")
     if not math.isfinite(z0):
         raise ValueError(f"z0 must be finite; got {z0!r}")
     if grid.scheme != "TruncatedMovingAverage":
         raise ValueError("simulate_paths_RL supports only TruncatedMovingAverage")
-    if grid.dt > mp.eps / 4.0 * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt={grid.dt!r} violates dt <= eps/4 = {mp.eps / 4.0!r}"
-        )
-    if abs(grid.n_steps * grid.dt - mp.maturity_T) > 1e-9 * mp.maturity_T:
-        raise ValueError(
-            f"grid spans {grid.n_steps * grid.dt!r} years but maturity is "
-            f"{mp.maturity_T!r}"
-        )
-    ke = KernelEval(mp.hurst)
-    n = grid.n_steps
-    kap = _OVERSAMPLE
-    delta = grid.dt / mp.eps
-    fine = delta / kap
-    so = ke.sigma_ou
-    masses = ke.cell_masses(fine, kap * n)
-    w_conv = masses / math.sqrt(fine)
-    r_std = math.sqrt(max(ke.ksq_first_cell(fine) - masses[0] ** 2 / fine, 0.0))
-    decay = z0 * np.exp(-np.arange(n + 1) * delta)
-    times = np.arange(n + 1) * grid.dt
-    ncols = kap * n + n + n  # fine xi, zeta, r_1..r_n
-    for batch_index, draw_rows, use_rows in _batch_rows(n_paths, antithetic):
-        block = _philox_normals(seed, batch_index, (draw_rows, ncols))
-        if antithetic:
-            block = _expand_antithetic(block, use_rows)
-        else:
-            block = block[:use_rows]
-        xi_fine = block[:, : kap * n]
-        zeta = block[:, kap * n: kap * n + n]
-        r = block[:, kap * n + n:]
-        conv = signal.fftconvolve(xi_fine, w_conv[None, :], mode="full", axes=1)
-        z = np.empty((block.shape[0], n + 1))
-        z[:, 0] = decay[0]
-        z[:, 1:] = decay[None, 1:] + so * (conv[:, kap - 1: kap * n: kap] + r_std * r)
-        sigma = mp.vol_fn(z)
-        xi_w = _block_sum_increments(xi_fine, kap)
-        x = _x_from_vol(mp, grid.dt, sigma, xi_w, zeta)
-        yield PathBundle(times, math.sqrt(grid.dt) * xi_w,
-                         math.sqrt(grid.dt) * zeta, z, sigma, x, seed)
+    sampler = FactorSampler(mp, grid, zero_start=True)
+    decay = z0 * np.exp(-np.arange(grid.n_steps + 1) * sampler.delta)
+    for block in normal_blocks(seed, n_paths, sampler.ncols, antithetic):
+        yield sampler.bundle(block, seed, decay)
 
 
 def concat_bundles(stream) -> PathBundle:

@@ -149,6 +149,12 @@ def test_convergence_study_odd_paths():
         convergence_study(mp, EPS_GRID, PAYOFF, n_paths=101, seed=0)
 
 
+@pytest.mark.parametrize("n_paths", [0, -2])
+def test_convergence_study_rejects_nonpositive_paths(n_paths):
+    with pytest.raises(ValueError, match="n_paths must be a positive integer"):
+        convergence_study(make_model(), EPS_GRID, PAYOFF, n_paths=n_paths, seed=0)
+
+
 def test_convergence_report_structure(small_study):
     rep = small_study
     assert isinstance(rep, ConvergenceReport)
@@ -259,6 +265,14 @@ def test_vartheta_constant_vol_is_degenerate():
     assert rep.bound_violations == 0
 
 
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_vartheta_needs_two_paths_for_its_standard_error(n_paths):
+    mp = make_model(eps=0.05)
+    grid = SimGrid.for_model(mp, points_per_eps=4, warmup_mult=24.0)
+    with pytest.raises(ValueError, match="n_paths must be an integer >= 2"):
+        vartheta_check(mp, grid, n_paths=n_paths, seed=0)
+
+
 def test_vartheta_serialization(vartheta_report):
     data = json.loads(vartheta_report.to_json())
     assert data["report"] == "VarthetaReport"
@@ -287,6 +301,12 @@ def test_phi_variance_slope(phi_report):
     assert all(ms > 0 for ms in phi_report.mean_sq)
 
 
+@pytest.mark.parametrize("n_mc", [0, 1])
+def test_phi_needs_two_paths_for_its_standard_error(n_mc):
+    with pytest.raises(ValueError, match="n_mc must be an integer >= 2"):
+        phi_variance_check(make_model(), (0.08, 0.04, 0.02, 0.01), n_mc=n_mc)
+
+
 def test_phi_report_serialization(phi_report):
     data = json.loads(phi_report.to_json())
     assert data["report"] == "PhiReport"
@@ -312,6 +332,12 @@ def test_kappa_zero_mean_and_decay(kappa_report):
         assert abs(m) < 4.0 * se
     sup = kappa_report.sup_mean_sq
     assert all(b < a for a, b in zip(sup, sup[1:]))
+
+
+@pytest.mark.parametrize("n_mc", [0, 1])
+def test_kappa_needs_two_paths_for_its_standard_error(n_mc):
+    with pytest.raises(ValueError, match="n_mc must be an integer >= 2"):
+        kappa_check(make_model(), (0.08, 0.04, 0.02, 0.01), n_mc=n_mc)
 
 
 def test_kappa_serialization(kappa_report):

@@ -9,17 +9,18 @@ import pytest
 from roughvol.gaussfunc import BoundedSigmoid
 from roughvol.kernel import CovarianceEval, KernelEval, cov_RL
 from roughvol.simulate import (
+    FactorSampler,
     ModelParams,
     PathBundle,
     SimGrid,
     concat_bundles,
     dump_paths,
     exact_gaussian_check,
+    normal_blocks,
     simulate_paths,
     simulate_paths_RL,
     _exact_joint_cov,
     _scheme_joint_cov,
-    _scheme_weights,
 )
 
 EPS = 0.05
@@ -259,7 +260,7 @@ def test_warmup_doubling_variance_shift_below_one_se():
     g2 = SimGrid.for_model(mp, warmup_mult=60.0)
 
     def var0(grid):
-        sw = _scheme_weights(mp, grid)
+        sw = FactorSampler(mp, grid)
         m = sw.kappa * sw.n_w
         return sw.sig_ou**2 * (
             float(np.dot(sw.w_conv[:m], sw.w_conv[:m]))
@@ -391,6 +392,49 @@ def test_rl_validation():
     ce_grid = SimGrid(40, 0.25 / 40, 0.0, scheme="CholeskyExact")
     with pytest.raises(ValueError, match="TruncatedMovingAverage"):
         next(simulate_paths_RL(make_model(maturity_T=0.25), ce_grid, 0.0, 4, seed=0))
+    # the grid checks are those of simulate_paths, except the warmup
+    coarse = SimGrid(10, 0.03, 1.5)
+    with pytest.raises(ValueError, match="the grid must resolve the fast scale"):
+        next(simulate_paths_RL(mp, coarse, 0.0, 4, seed=0))
+    with pytest.raises(ValueError, match="maturity"):
+        next(simulate_paths_RL(mp, SimGrid(40, 0.01, 1.5), 0.0, 4, seed=0))
+    no_warmup = SimGrid(grid.n_steps, grid.dt, 0.0)
+    assert next(simulate_paths_RL(mp, no_warmup, 0.0, 4, seed=0)).Z.shape == (
+        4, grid.n_steps + 1)
+
+
+@pytest.mark.parametrize("zero_start", [False, True])
+def test_factor_matches_direct_moving_sum(zero_start):
+    # Z_i = sig_ou [sum_k w_k xi_(kappa i - 1 - k) + r_std r_i + eta_std_i eta_i],
+    # with i counted from the start of the drawn history, summed term by term
+    # from the documented column layout of one simulate_paths block
+    mp = make_model(maturity_T=0.05)
+    grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=20.0)
+    s = FactorSampler(mp, grid, zero_start)
+    n, kap = s.n, s.kappa
+    block = next(normal_blocks(3, 6, s.ncols))
+    if zero_start:
+        z = next(simulate_paths_RL(mp, grid, 0.0, 6, seed=3)).Z
+    else:
+        z = next(simulate_paths(mp, grid, 6, seed=3)).Z
+    nfine = kap * (s.n_w + n)
+    xi = block[:, :nfine]
+    r = block[:, nfine + n: nfine + n + s.widths[1]]
+    eta = block[:, nfine + n + s.widths[1]:]
+    assert eta.shape[1] == s.widths[2] == (0 if zero_start else n + 1)
+    for p in range(block.shape[0]):
+        for i in range(n + 1):
+            terms = [s.w_conv[k] * xi[p, kap * (s.n_w + i) - 1 - k]
+                     for k in range(kap * (s.n_w + i))]
+            if zero_start:
+                terms += [s.r_std * r[p, i - 1]] if i else []
+            else:
+                terms += [s.r_std * r[p, i], s.eta_std[i] * eta[p, i]]
+            oracle = s.sig_ou * math.fsum(terms)
+            scale = s.sig_ou * sum(abs(t) for t in terms)
+            assert abs(z[p, i] - oracle) <= 1e-13 * scale
+    if zero_start:
+        assert np.all(z[:, 0] == 0.0)
 
 
 def test_rl_reproducible():
