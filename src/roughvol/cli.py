@@ -417,7 +417,7 @@ class ParamsReport(_ReportMixin):
     mean_Fp: float
     mean_Fp2: float
     kernel_sq_residual: float
-    dbar_gh_order: Optional[int]
+    dbar_truncation_bound: Optional[float]
     dbar_tail_bound: Optional[float]
     dbar_s_max: Optional[float]
 
@@ -482,7 +482,7 @@ def cmd_params(cfg: RunConfig) -> ParamsReport:
         mean_Fp=mean_fp,
         mean_Fp2=mean_fp2,
         kernel_sq_residual=kernel_residual,
-        dbar_gh_order=None if diag is None else diag["gh_order"],
+        dbar_truncation_bound=None if diag is None else diag["truncation_bound"],
         dbar_tail_bound=None if diag is None else diag["tail_bound"],
         dbar_s_max=None if diag is None else diag["s_max"],
     )

@@ -53,6 +53,7 @@ __all__ = [
 
 N_PATHS_PRICING = 200_000  # default path budget for price estimates
 N_PATHS_LEMMA = 20_000     # default path budget for remainder-rate checks
+_PROFILE_GH_ORDER = 40     # Gauss-Hermite order of _gaussian_profile
 
 _SUP_NOTE = ("sup over t in [0,T] is probed only at t=0 and t=T/2 "
              "(sample-average proxy at the interior time); full-sup "
@@ -93,11 +94,10 @@ def _pair_means(values: np.ndarray) -> np.ndarray:
 
 
 def _estimate_from_units(units: np.ndarray, n_paths: int, seed: int) -> MCEstimate:
-    mean = float(units.mean())
-    se = 0.0
-    if units.size > 1:
-        se = float(units.std(ddof=1) / math.sqrt(units.size))
-    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths, seed=seed)
+    """Sample mean and standard error of at least two sampling units."""
+    se = float(units.std(ddof=1) / math.sqrt(units.size))
+    return MCEstimate(mean=float(units.mean()), std_error=se, n_paths=n_paths,
+                      seed=seed)
 
 
 def mc_price(mp: ModelParams, grid: SimGrid, payoff, n_paths: int = N_PATHS_PRICING,
@@ -105,8 +105,10 @@ def mc_price(mp: ModelParams, grid: SimGrid, payoff, n_paths: int = N_PATHS_PRIC
     """Monte Carlo price of ``payoff`` at t=0 (sample mean of h(X_T)).
 
     Uses antithetic pairing on the Brownian draws by default; a constant
-    payoff is reproduced exactly with zero standard error.
+    payoff is reproduced exactly with zero standard error.  At least two
+    sampling units (paths, or antithetic pairs) are required.
     """
+    _check_se_paths("n_paths", n_paths, antithetic)
     units = []
     for bundle in simulate_paths(mp, grid, n_paths, seed, antithetic=antithetic):
         hx = np.asarray(payoff(bundle.X[:, -1]), dtype=float)
@@ -272,11 +274,15 @@ def _check_dyadic(eps_grid: Sequence[float], min_points: int = 4):
     return eps
 
 
-def _check_se_paths(name: str, count) -> None:
-    """Reports with a sample standard error need at least two paths."""
-    if not (isinstance(count, int) and count >= 2):
+def _check_se_paths(name: str, count, antithetic: bool = False) -> None:
+    """Reports with a sample standard error need two sampling units.
+
+    A unit is a path, or with antithetic pairing a pair of paths.
+    """
+    least = 4 if antithetic else 2
+    if not (isinstance(count, int) and count >= least):
         raise ValueError(
-            f"{name} must be an integer >= 2 for a sample standard error; "
+            f"{name} must be an integer >= {least} for a sample standard error; "
             f"got {count!r}"
         )
 
@@ -357,6 +363,7 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
     sizes = [kap * n_fine, n_fine] + [w for s in samplers for w in s.widths]
     cuts = np.cumsum(sizes)[:-1]
     blocks = normal_blocks(seed, n_paths, sum(sizes), antithetic=True)
+    _check_se_paths("n_paths", n_paths, antithetic=True)
     gp = group_params(mp_base)
 
     bs_center = float(pricing.bs_price(
@@ -470,10 +477,9 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
 # -- conditional-expectation machinery for the remainder checks -----------------
 
 
-def _gaussian_profile(fn, means: np.ndarray, variances: np.ndarray,
-                      gh_order: int) -> np.ndarray:
+def _gaussian_profile(fn, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """E[fn(N(m, v))] columnwise for (paths, times) means."""
-    nodes, weights = _gh_nodes(gh_order)
+    nodes, weights = _gh_nodes(_PROFILE_GH_ORDER)
     out = np.empty_like(means)
     for i in range(means.shape[1]):
         sd = math.sqrt(max(variances[i], 0.0))
@@ -532,8 +538,7 @@ def _trapezoid_cells(profile: np.ndarray, masses: np.ndarray) -> np.ndarray:
 
 
 def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
-                   seed: int = 0, gh_order: int = 40,
-                   t_interior: Optional[float] = None) -> VarthetaReport:
+                   seed: int = 0, t_interior: Optional[float] = None) -> VarthetaReport:
     """Estimate E[sigma_0 vartheta_0] against its fast-scale limit.
 
     Per path the conditional expectation E[G'(Z_s) | time-0 info] is a
@@ -570,7 +575,7 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     sqeps = math.sqrt(mp.eps)
     k_bound = so * vol.sigma_max * g_prime_sup(vol) * ke.abs_integral()
     # E[vartheta_0]: the stationary <FF'> integrated against K up to T/eps
-    theta_mean = (sqeps * so * mean_FFp(vol, mp.hurst, gh_order)
+    theta_mean = (sqeps * so * mean_FFp(vol, mp.hurst)
                   * ke.integrated_K(mp.maturity_T / mp.eps))
 
     samples, samples_cov, samples_int = [], [], []
@@ -583,7 +588,7 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
         m = sampler.conditional_means(warm, fine=True)
         z0 = m[:, 0] + so * (sampler.r_std * block[:, n_xi]
                              + sampler.eta_std[0] * block[:, n_xi + 1])
-        gprof = _gaussian_profile(vol.ffp, m, variances, gh_order)
+        gprof = _gaussian_profile(vol.ffp, m, variances)
         theta = so * sqeps * _trapezoid_cells(gprof, masses)
         sigma0 = vol(z0)
         prod = sigma0 * theta
@@ -601,7 +606,7 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
                 + sampler.eta_std[i_int] * block[:, n_xi + 3]
             )
             v2 = variances[: n_fine + 1 - i_fine]
-            gprof2 = _gaussian_profile(vol.ffp, m2, v2, gh_order)
+            gprof2 = _gaussian_profile(vol.ffp, m2, v2)
             theta2 = so * sqeps * _trapezoid_cells(gprof2,
                                                    masses[: n_fine - i_fine])
             samples_int.append(vol(zt) * theta2)
@@ -663,8 +668,8 @@ class PhiReport(_ReportMixin):
 
 def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
                        n_mc: int = N_PATHS_LEMMA, seed: int = 0,
-                       points_per_eps: int = 4, warmup_mult: float = 24.0,
-                       gh_order: int = 40) -> PhiReport:
+                       points_per_eps: int = 4,
+                       warmup_mult: float = 24.0) -> PhiReport:
     """Estimate E[phi_0^2], phi_0 = int_0^T E[G(Z_s)|time-0 info] ds.
 
     The second moment must decay like ``eps^(2-2H)``; the report carries
@@ -695,7 +700,7 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
         phis = []
         for block in normal_blocks(seed_eps, n_mc, kap * n_w):
             m = sampler.conditional_means(block)
-            gprof = _gaussian_profile(g_fn, m, variances, gh_order)
+            gprof = _gaussian_profile(g_fn, m, variances)
             phis.append(gprof @ trap_w)
         phi = np.concatenate(phis)
         sq = phi**2

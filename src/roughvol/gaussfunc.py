@@ -14,6 +14,9 @@ them.  This module computes the scalar functionals that parametrize prices:
       d_bar = sigma_ou * int_0^infty E[F(sigma_ou Z) (FF')(sigma_ou Z')] K(s) ds,
 
   where ``(Z, Z')`` is bivariate normal with correlation ``C_Z(s)``.
+
+Every expectation over ``Z`` uses one fixed trapezoid rule, and ``d_bar``
+is a Mehler--Hermite series with coefficients projected on that rule.
 """
 
 from __future__ import annotations
@@ -24,14 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import interpolate, special
 
-from .kernel import (
-    CovarianceEval,
-    KernelEval,
-    bivariate_expect,
-    gamma_reflect,
-    gaussian_expect,
-    sigma_ou,
-)
+from .kernel import CovarianceEval, KernelEval, gamma_reflect, sigma_ou
+# not used here: bench/test_bench.py asserts that gaussfunc binds this name
+from .kernel import bivariate_expect  # noqa: F401
 
 __all__ = [
     "VolFunction",
@@ -293,59 +291,49 @@ class GroupParams:
     mean_Fp2: float
 
 
-_GH_ORDER_MAX = 320  # Gauss-Hermite weights underflow beyond this order
+# The standard-normal rule every functional below uses: the trapezoid rule
+# with step 0.01 on [-16, 16] (3,201 nodes).  On a Gaussian-weighted
+# integrand analytic in a strip about the real axis it converges
+# geometrically in 1/step (Trefethen & Weideman, SIAM Review 56, 2014), and
+# the Gaussian mass beyond |z| = 16 is below 1e-56.  For BoundedSigmoid the
+# poles sit pi/(slope sigma_ou) from the real axis, so the error grows with
+# slope * sigma_ou: <F'^2> is within 1e-12 of adaptive quad up to about 50
+# and off by 8e-8 at 76.
+_Z = np.linspace(-16.0, 16.0, 3201)
+_W = 0.01 * np.exp(-0.5 * _Z * _Z) / math.sqrt(2.0 * math.pi)
+_N_TERMS = 1000  # terms of the Mehler series for d_bar
 
 
-def _converged_expect(fn, gh_order: int, tol: float = 1e-10) -> float:
-    """Gauss--Hermite expectation, doubling the order until stable.
-
-    Sharply-sloped volatility functions (poles of the logistic close to the
-    real axis) converge slowly in the GH order, so a fixed order cannot meet
-    the absolute-error contracts; the order is escalated from ``gh_order``
-    until one more doubling moves the value by less than ``tol`` (capped at
-    order 320, beyond which the quadrature weights underflow).
-    """
-    n = max(int(gh_order), 2)
-    prev = gaussian_expect(fn, n)
-    while n < _GH_ORDER_MAX:
-        n = min(2 * n, _GH_ORDER_MAX)
-        cur = gaussian_expect(fn, n)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
+def _expect(values) -> float:
+    """``E[g(Z)]`` from the values ``g(_Z)`` on the fixed rule."""
+    return float(_W @ values)
 
 
-def moments(vol_fn: VolFunction, hurst, gh_order: int = 40):
+def moments(vol_fn: VolFunction, hurst):
     """One-dimensional Gaussian moments ``(<F>, <F^2>, <F'>, <F'^2>)``.
 
     All are expectations of ``F(sigma_ou Z)`` (respectively ``F'``) under
-    standard normal ``Z``, evaluated by Gauss--Hermite quadrature starting
-    at order ``gh_order`` and refined until the absolute error is below
-    1e-10.
+    standard normal ``Z``, evaluated on the module's fixed trapezoid rule
+    (absolute error below 1e-10 for the bounded families).
     """
-    so = sigma_ou(hurst)
-    mean_f = _converged_expect(lambda z: vol_fn(so * z), gh_order)
-    mean_f2 = _converged_expect(lambda z: vol_fn(so * z) ** 2, gh_order)
-    mean_fp = _converged_expect(lambda z: vol_fn.deriv(so * z), gh_order)
-    mean_fp2 = _converged_expect(lambda z: vol_fn.deriv(so * z) ** 2, gh_order)
-    return mean_f, mean_f2, mean_fp, mean_fp2
+    y = sigma_ou(hurst) * _Z
+    f, fp = vol_fn(y), vol_fn.deriv(y)
+    return _expect(f), _expect(f * f), _expect(fp), _expect(fp * fp)
 
 
-def mean_FFp(vol_fn: VolFunction, hurst, gh_order: int = 40) -> float:
+def mean_FFp(vol_fn: VolFunction, hurst) -> float:
     """Stationary mean ``<FF'> = E[(F F')(sigma_ou Z)]`` (absolute error 1e-10).
 
     Together with ``<F>`` it gives ``Lambda(0) = <F><FF'>``, the constant
     part of the ``d_bar`` integrand, which integrates to zero only over the
     infinite horizon.
     """
-    so = sigma_ou(hurst)
-    return _converged_expect(lambda z: vol_fn.ffp(so * z), gh_order)
+    return _expect(vol_fn.ffp(sigma_ou(hurst) * _Z))
 
 
-def sigma_bar(vol_fn: VolFunction, hurst, gh_order: int = 40) -> float:
+def sigma_bar(vol_fn: VolFunction, hurst) -> float:
     """Effective volatility ``sqrt(<F^2>)`` (the leading-order implied vol)."""
-    _, mean_f2, _, _ = moments(vol_fn, hurst, gh_order)
+    _, mean_f2, _, _ = moments(vol_fn, hurst)
     return math.sqrt(mean_f2)
 
 
@@ -364,134 +352,122 @@ def d_bar(
     vol_fn: VolFunction,
     ke: KernelEval,
     ce: CovarianceEval,
-    gh_order: int = 40,
     s_max: float = 2000.0,
     return_diagnostics: bool = False,
 ):
-    """Correction coefficient ``d_bar`` by nested quadrature.
+    """Correction coefficient ``d_bar`` as a Mehler--Hermite series.
 
-    Evaluates ``sigma_ou * int_0^infty Lambda(C_Z(s)) K(s) ds`` where
-    ``Lambda(c) = E[F(sigma_ou Z) (FF')(sigma_ou Z')]`` at correlation ``c``.
+    Evaluates ``sigma_ou * int_0^infty (Lambda(C_Z(s)) - Lambda(0)) K(s) ds``
+    where ``Lambda(c) = E[F(sigma_ou Z) (FF')(sigma_ou Z')]`` at correlation
+    ``c``; ``Lambda(0) = <F><FF'>`` contributes nothing since
+    ``int_0^infty K = 0``.  By Mehler's formula
+    ``Lambda(c) = sum_k alpha_k beta_k c^k``, where ``alpha_k`` and
+    ``beta_k`` are the coefficients of ``F(sigma_ou z)`` and
+    ``(FF')(sigma_ou z)`` on the normalized Hermite polynomials, projected
+    on the module's trapezoid rule; so
 
-    Because ``int_0^infty K = 0`` exactly, the constant component
-    ``Lambda(0) = <F><FF'>`` contributes nothing, and the integral is
-    computed in the subtracted form
-    ``sigma_ou * int (Lambda(C_Z(s)) - Lambda(0)) K(s) ds``, whose integrand
-    decays like ``s^(3H-7/2)``.  (The naive split into a finite range plus a
-    tail assembles the answer from pieces up to ~40x larger than the result;
-    the subtracted form has no such cancellation.)  The origin singularity
-    ``s^(H-1/2)`` is flattened by the substitution ``w = s^(H+1/2)`` on
-    geometrically graded panels (the residual ``s^(2H)`` correlation cusp is
-    not polynomial in ``w``); the range ``[1, s_max]`` uses panels graded
-    geometrically to match the ``s^(H-3/2)`` kernel tail; beyond ``s_max``
-    a closed-form linearized tail (local slope of ``Lambda`` times the
-    asymptotic powers of ``C_Z`` and ``K``) is added, with twice its
-    magnitude as the error bound.  The inner Gauss--Hermite order starts at
-    ``gh_order`` and is escalated until the bivariate expectation is stable
-    to 1e-11 at probe correlations, meeting the absolute error target
-    ``1e-7 * sigma_max^3`` independent of the steepness of ``F``.
+        d_bar = sigma_ou (sum_{k=1}^{N} alpha_k beta_k mu_k + tail),
+
+    with ``N = 1000`` and ``mu_k = int_0^s_max C_Z^k K ds`` from a running
+    power of ``C_Z`` on fixed Gauss--Legendre panels: in ``w = s^(H+1/2)``
+    on ``[0, 1]`` (flattening the ``s^(H-1/2)`` kernel singularity, graded
+    toward ``w = 0`` for the ``s^(2H)`` correlation cusp) and graded
+    geometrically on ``[1, s_max]``.  ``tail`` is the linearized integral
+    beyond ``s_max`` (the exact slope ``Lambda'(0) = alpha_1 beta_1`` times
+    the asymptotic powers of ``C_Z`` and ``K``), bounded by twice its
+    magnitude.  By Cauchy--Schwarz the truncation after ``N`` terms is
+    bounded by ``sigma_ou sqrt(R_alpha R_beta) int |C_Z|^(N+1) |K|``, with
+    the Parseval remainders ``R_alpha = <F^2> - sum_k alpha_k^2`` and
+    ``R_beta``.
 
     Raises
     ------
     RuntimeError
-        If the tail bound exceeds the absolute tolerance
-        ``1e-7 * sigma_max^3`` (quadrature non-convergence), with the
-        diagnostic numbers in the message.
+        If the tail bound plus the truncation bound exceeds the absolute
+        tolerance ``1e-7 * sigma_max^3``, with the numbers in the message.
     """
-    if gh_order < 2:
-        raise ValueError(f"gh_order must be >= 2; got {gh_order!r}")
     if s_max < 50.0:
         raise ValueError(f"s_max must be >= 50; got {s_max!r}")
     h = ke.hurst
     so = ke.sigma_ou
     a = h + 0.5
 
-    def f1(z):
-        return vol_fn(so * z)
-
-    def f2(z):
-        return vol_fn.ffp(so * z)
-
-    # escalate the inner GH order until the probe expectations are stable
-    order = max(int(gh_order), 20)
-    probes = (0.95, 0.5)
-    prev = [bivariate_expect(f1, f2, c, order) for c in probes]
-    while order < _GH_ORDER_MAX:
-        nxt = min(2 * order, _GH_ORDER_MAX)
-        cand = [bivariate_expect(f1, f2, c, nxt) for c in probes]
-        if max(abs(u - v) for u, v in zip(cand, prev)) < 1e-10:
-            break
-        order, prev = nxt, cand
-    lam0 = _converged_expect(f1, order) * _converged_expect(f2, order)
+    # alpha_k, beta_k against psi_k = sqrt(_W) He_k/sqrt(k!), which stay
+    # bounded; the three-term recurrence runs one row at a time
+    psi_prev, psi = np.zeros_like(_Z), np.sqrt(_W)
+    u1, u2 = psi * vol_fn(so * _Z), psi * vol_fn.ffp(so * _Z)
+    alpha, beta = np.empty(_N_TERMS + 1), np.empty(_N_TERMS + 1)
+    for k in range(_N_TERMS + 1):
+        alpha[k], beta[k] = u1 @ psi, u2 @ psi
+        psi_prev, psi = psi, (_Z * psi - math.sqrt(k) * psi_prev) / math.sqrt(k + 1)
+    coef = (alpha * beta).tolist()
+    # Parseval remainders, floored at the rounding bound of the dot products
+    rounding = _Z.size * np.finfo(float).eps
+    rem_alpha = max(float(u1 @ u1 - alpha @ alpha), rounding * float(u1 @ u1))
+    rem_beta = max(float(u2 @ u2 - beta @ beta), rounding * float(u2 @ u2))
 
     nodes, weights = np.polynomial.legendre.leggauss(20)
-    # [0, 1] with w = s^a: geometric panels toward w=0 resolve the s^(2H)
-    # correlation cusp left over after the kernel singularity is flattened
     w_edges = np.concatenate(([0.0], np.geomspace(1e-10, 1.0, 41)))
     w_half = 0.5 * (w_edges[1:] - w_edges[:-1])
     wn = (0.5 * (w_edges[1:] + w_edges[:-1]))[:, None] + w_half[:, None] * nodes
     jac = (1.0 / a) * wn ** (1.0 / a - 1.0)
-    # [1, s_max] on geometrically graded panels
     edges = np.exp(np.linspace(0.0, math.log(s_max), 61))
     half = 0.5 * (edges[1:] - edges[:-1])
     sn = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * nodes
     # the kernel and the correlation at all outer nodes in one call each
     s_all = np.concatenate(((wn ** (1.0 / a)).ravel(), sn.ravel()))
-    lam = np.array([bivariate_expect(f1, f2, c, order) for c in ce.cov_CZ(s_all)])
-    vals = (lam - lam0) * ke.kernel_K(s_all)
-    head = vals[: wn.size].reshape(wn.shape)
-    body = vals[wn.size:].reshape(sn.shape)
-    total = float(np.dot(w_half, (head * jac) @ weights)
-                  + np.dot(half, body @ weights))
+    wk = np.concatenate(((w_half[:, None] * weights * jac).ravel(),
+                         (half[:, None] * weights).ravel())) * ke.kernel_K(s_all)
+    c = ce.cov_CZ(s_all)
+    total = 0.0
+    c_pow = np.ones_like(c)
+    for k in range(1, _N_TERMS + 1):
+        c_pow *= c
+        total += coef[k] * float(wk @ c_pow)
+    truncation_bound = so * math.sqrt(rem_alpha * rem_beta) * float(
+        np.abs(wk) @ np.abs(c_pow * c))
 
-    # linearized tail: Lambda - Lambda(0) ~ lam_slope * C_Z with
     # C_Z ~ s^(2H-2)/Gamma(2H-1) and K ~ s^(H-3/2)/(sigma_ou Gamma(H-1/2))
-    c_ref = ce.cov_CZ(s_max)
-    lam_slope = 0.0
-    if abs(c_ref) > 0.0:
-        lam_slope = (bivariate_expect(f1, f2, c_ref, order) - lam0) / c_ref
     q_exp = 3.0 * h - 3.5
-    tail = (
-        lam_slope
-        / (gamma_reflect(2.0 * h - 1.0) * so * gamma_reflect(h - 0.5))
-        * s_max ** (q_exp + 1.0)
-        / (-(q_exp + 1.0))
-    )
-    tail_bound = 2.0 * abs(tail)
+    tail = (coef[1] / (gamma_reflect(2.0 * h - 1.0) * so * gamma_reflect(h - 0.5))
+            * s_max ** (q_exp + 1.0) / (-(q_exp + 1.0)))
+    tail_bound = 2.0 * so * abs(tail)
     scale = vol_fn.sigma_max**3 if math.isfinite(vol_fn.sigma_max) else abs(so * total)
     tol = 1e-7 * max(scale, 1e-12)
-    if tail_bound > tol:
+    if tail_bound + truncation_bound > tol:
         raise RuntimeError(
-            "d_bar outer quadrature did not converge: tail bound "
-            f"{tail_bound:.3e} beyond s_max={s_max} exceeds tolerance "
-            f"{tol:.3e}; increase s_max"
+            f"d_bar did not converge: tail bound {tail_bound:.3e} beyond "
+            f"s_max={s_max} plus truncation bound {truncation_bound:.3e} after "
+            f"{_N_TERMS} terms exceeds tolerance {tol:.3e}; a large tail "
+            "bound needs a larger s_max"
         )
     value = so * (total + tail)
     if return_diagnostics:
         return value, {
             "s_max": s_max,
             "tail_estimate": so * tail,
-            "tail_bound": so * tail_bound,
-            "lambda_at_zero": lam0,
-            "gh_order": order,
+            "tail_bound": tail_bound,
+            "truncation_bound": truncation_bound,
+            "lambda_at_zero": coef[0],
+            "n_terms": _N_TERMS,
         }
     return value
 
 
-def group_params(mp, gh_order: int = 40) -> GroupParams:
+def group_params(mp) -> GroupParams:
     """All derived group parameters for a model (pure function of ``mp``).
 
     ``mp`` provides ``hurst`` and ``vol_fn``
     (see :class:`roughvol.simulate.ModelParams`).
     """
-    mean_f, mean_f2, mean_fp, mean_fp2 = moments(mp.vol_fn, mp.hurst, gh_order)
+    mean_f, mean_f2, mean_fp, mean_fp2 = moments(mp.vol_fn, mp.hurst)
     sbar = math.sqrt(mean_f2)
     if mean_fp2 == 0.0:
         dbar = 0.0
     else:
         ke = KernelEval(mp.hurst)
         ce = CovarianceEval(mp.hurst)
-        dbar = d_bar(mp.vol_fn, ke, ce, gh_order)
+        dbar = d_bar(mp.vol_fn, ke, ce)
     return GroupParams(
         sigma_bar=sbar,
         d_bar=dbar,

@@ -207,13 +207,16 @@ class ExactGaussianReport:
     warmup_horizon: float
 
 
-def _validate_grid(mp: ModelParams, grid: SimGrid, warmup: bool = True):
+def _validate_grid(mp: ModelParams, grid: SimGrid, moving_average: bool = True,
+                   warmup: bool = True):
+    """Check ``grid`` for ``mp`` under the moving-average rules, which apply
+    whatever the grid's label, or else under the Cholesky size limit."""
     if abs(grid.n_steps * grid.dt - mp.maturity_T) > 1e-9 * mp.maturity_T:
         raise ValueError(
             f"grid spans {grid.n_steps * grid.dt!r} years but maturity is "
             f"{mp.maturity_T!r}"
         )
-    if grid.scheme == "TruncatedMovingAverage":
+    if moving_average:
         if grid.dt > mp.eps / 4.0 * (1.0 + 1e-12):
             raise ValueError(
                 f"dt={grid.dt!r} violates dt <= eps/4 = {mp.eps / 4.0!r}; "
@@ -224,12 +227,11 @@ def _validate_grid(mp: ModelParams, grid: SimGrid, warmup: bool = True):
                 f"warmup_horizon={grid.warmup_horizon!r} violates "
                 f"warmup >= 20*eps = {20.0 * mp.eps!r}"
             )
-    else:
-        if grid.n_steps > 512:
-            raise ValueError(
-                "CholeskyExact is limited to n_steps <= 512; got "
-                f"{grid.n_steps}"
-            )
+    elif grid.n_steps > 512:
+        raise ValueError(
+            "CholeskyExact is limited to n_steps <= 512; got "
+            f"{grid.n_steps}"
+        )
 
 
 def normal_blocks(seed: int, n_paths: int, ncols: int,
@@ -508,7 +510,7 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
         for block in normal_blocks(seed, n_paths, sampler.ncols, antithetic):
             yield sampler.bundle(block, seed)
         return
-    _validate_grid(mp, grid)
+    _validate_grid(mp, grid, moving_average=False)
     chol, _ = jittered_cholesky(_exact_joint_cov(mp, grid))
     n, dt = grid.n_steps, grid.dt
     times = np.arange(n + 1) * dt

@@ -163,7 +163,7 @@ def test_params_constant_vol_closed_forms():
     assert rep.mean_F == pytest.approx(0.2, rel=1e-14)
     assert rep.mean_F2 == pytest.approx(0.04, rel=1e-14)
     assert rep.mean_Fp == 0.0
-    assert rep.dbar_gh_order is None
+    assert rep.dbar_truncation_bound is None
     assert rep.kernel_sq_residual < 1e-9
 
 
@@ -172,7 +172,7 @@ def test_params_sigmoid_reports_quadrature_diagnostics():
     assert rep.d_bar == pytest.approx(4.329011559885e-04, rel=1e-9)
     assert rep.sigma_bar == pytest.approx(0.27931717, rel=1e-7)
     assert rep.tau_bar == pytest.approx(2.0 / rep.mean_F2, rel=1e-15)
-    assert rep.dbar_gh_order >= 20
+    assert 0.0 < rep.dbar_truncation_bound < 1e-8
     assert rep.dbar_tail_bound < 1e-8
     assert rep.dbar_s_max == 2000.0
     text = rep.to_text()

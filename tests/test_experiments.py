@@ -125,6 +125,16 @@ def test_mc_price_validation():
         mc_price(mp, grid, PAYOFF, n_paths=0, seed=0)
 
 
+@pytest.mark.parametrize("n_paths, antithetic", [(2, True), (1, False)])
+def test_mc_price_needs_two_units_for_its_standard_error(n_paths, antithetic):
+    # one antithetic pair, or one plain path, is a single sampling unit
+    mp = make_model()
+    grid = SimGrid.for_model(mp)
+    least = 4 if antithetic else 2
+    with pytest.raises(ValueError, match=f"n_paths must be an integer >= {least}"):
+        mc_price(mp, grid, PAYOFF, n_paths=n_paths, seed=0, antithetic=antithetic)
+
+
 # -- convergence study ----------------------------------------------------------
 
 
@@ -153,6 +163,11 @@ def test_convergence_study_odd_paths():
 def test_convergence_study_rejects_nonpositive_paths(n_paths):
     with pytest.raises(ValueError, match="n_paths must be a positive integer"):
         convergence_study(make_model(), EPS_GRID, PAYOFF, n_paths=n_paths, seed=0)
+
+
+def test_convergence_study_needs_two_pairs_for_its_standard_error():
+    with pytest.raises(ValueError, match="n_paths must be an integer >= 4"):
+        convergence_study(make_model(), EPS_GRID, PAYOFF, n_paths=2, seed=0)
 
 
 def test_convergence_report_structure(small_study):
@@ -271,6 +286,14 @@ def test_vartheta_needs_two_paths_for_its_standard_error(n_paths):
     grid = SimGrid.for_model(mp, points_per_eps=4, warmup_mult=24.0)
     with pytest.raises(ValueError, match="n_paths must be an integer >= 2"):
         vartheta_check(mp, grid, n_paths=n_paths, seed=0)
+
+
+def test_vartheta_checks_any_grid_under_the_moving_average_rules():
+    # the sampler runs the moving-average scheme whatever the grid's label
+    mp = make_model(eps=0.05)
+    grid = SimGrid(25, 0.02, 1.2, scheme="CholeskyExact")  # dt = 0.4 eps
+    with pytest.raises(ValueError, match="the grid must resolve the fast scale"):
+        vartheta_check(mp, grid, n_paths=64, seed=0)
 
 
 def test_vartheta_serialization(vartheta_report):
