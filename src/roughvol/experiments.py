@@ -93,11 +93,32 @@ def _pair_means(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[0::2] + values[1::2])
 
 
+def _std_error(samples: np.ndarray) -> float:
+    """Standard error of the sample mean (at least two samples)."""
+    return float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+
+def _stream_seed(seed: int, stream: int) -> int:
+    """Seed of substream ``stream`` of ``seed`` (one per epsilon of a study)."""
+    return int(np.random.SeedSequence(
+        entropy=int(seed), spawn_key=(stream,)
+    ).generate_state(1, np.uint64)[0])
+
+
+def _loglog_slope(eps, values) -> float:
+    """Least-squares slope of ``log(values)`` against ``log(eps)``.
+
+    NaN when a value is not positive (the constant-volatility case).
+    """
+    if min(values) > 0.0:
+        return float(np.polyfit(np.log(eps), np.log(values), 1)[0])
+    return math.nan
+
+
 def _estimate_from_units(units: np.ndarray, n_paths: int, seed: int) -> MCEstimate:
     """Sample mean and standard error of at least two sampling units."""
-    se = float(units.std(ddof=1) / math.sqrt(units.size))
-    return MCEstimate(mean=float(units.mean()), std_error=se, n_paths=n_paths,
-                      seed=seed)
+    return MCEstimate(mean=float(units.mean()), std_error=_std_error(units),
+                      n_paths=n_paths, seed=seed)
 
 
 def mc_price(mp: ModelParams, grid: SimGrid, payoff, n_paths: int = N_PATHS_PRICING,
@@ -613,10 +634,8 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
 
     prod = np.concatenate(samples)
     mean = float(prod.mean())
-    se = float(prod.std(ddof=1) / math.sqrt(prod.size))
     cov_form = np.concatenate(samples_cov)
     cov_estimate = float(cov_form.mean())
-    cov_se = float(cov_form.std(ddof=1) / math.sqrt(cov_form.size))
     target = sqeps * gp.d_bar
     interior_cov = None
     if i_int is not None:
@@ -627,10 +646,10 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
         eps=mp.eps,
         hurst=mp.hurst,
         mean=mean,
-        std_error=se,
+        std_error=_std_error(prod),
         horizon_term=gp.mean_F * theta_mean,
         cov_estimate=cov_estimate,
-        cov_std_error=cov_se,
+        cov_std_error=_std_error(cov_form),
         d_bar=gp.d_bar,
         target=target,
         ratio_to_target=cov_estimate / target if target != 0.0 else math.nan,
@@ -694,31 +713,25 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
         variances = sampler.sig_ou**2 * sampler.ke.ksq_cum_grid(sampler.delta, n)
         trap_w = np.full(n + 1, grid.dt)
         trap_w[0] = trap_w[-1] = 0.5 * grid.dt
-        seed_eps = int(np.random.SeedSequence(
-            entropy=int(seed), spawn_key=(stream,)
-        ).generate_state(1, np.uint64)[0])
         phis = []
-        for block in normal_blocks(seed_eps, n_mc, kap * n_w):
+        for block in normal_blocks(_stream_seed(seed, stream), n_mc,
+                                   kap * n_w):
             m = sampler.conditional_means(block)
             gprof = _gaussian_profile(g_fn, m, variances)
             phis.append(gprof @ trap_w)
         phi = np.concatenate(phis)
         sq = phi**2
         mean_sq.append(float(sq.mean()))
-        mean_sq_se.append(float(sq.std(ddof=1) / math.sqrt(sq.size)))
+        mean_sq_se.append(_std_error(sq))
         means.append(float(phi.mean()))
-        mean_ses.append(float(phi.std(ddof=1) / math.sqrt(phi.size)))
-    if min(mean_sq) > 0.0:
-        slope = float(np.polyfit(np.log(eps), np.log(mean_sq), 1)[0])
-    else:
-        slope = math.nan  # degenerate (constant volatility) case
+        mean_ses.append(_std_error(phi))
     return PhiReport(
         eps_grid=tuple(eps),
         mean_sq=tuple(mean_sq),
         mean_sq_se=tuple(mean_sq_se),
         means=tuple(means),
         mean_ses=tuple(mean_ses),
-        slope=slope,
+        slope=_loglog_slope(eps, mean_sq),
         expected_slope=2.0 - 2.0 * mp_base.hurst,
         hurst=mp_base.hurst,
         n_mc=n_mc,
@@ -766,13 +779,11 @@ def kappa_check(mp_base: ModelParams, eps_grid: Sequence[float],
         mp = replace(mp_base, eps=e)
         grid = SimGrid.for_model(mp, points_per_eps=points_per_eps,
                                  warmup_mult=warmup_mult)
-        seed_eps = int(np.random.SeedSequence(
-            entropy=int(seed), spawn_key=(stream,)
-        ).generate_state(1, np.uint64)[0])
         acc_sq = None
         finals = []
         count = 0
-        for bundle in simulate_paths(mp, grid, n_mc, seed_eps):
+        for bundle in simulate_paths(mp, grid, n_mc,
+                                     _stream_seed(seed, stream)):
             integrand = bundle.sigma**2 - sb2
             run = integrate.cumulative_trapezoid(
                 integrand, dx=grid.dt, axis=1, initial=0.0
@@ -786,17 +797,13 @@ def kappa_check(mp_base: ModelParams, eps_grid: Sequence[float],
         fin = np.concatenate(finals)
         sup_mean_sq.append(float(mean_sq_t.max()))
         final_means.append(float(fin.mean()))
-        final_ses.append(float(fin.std(ddof=1) / math.sqrt(fin.size)))
-    if min(sup_mean_sq) > 0.0:
-        slope = float(np.polyfit(np.log(eps), np.log(sup_mean_sq), 1)[0])
-    else:
-        slope = math.nan  # degenerate (constant volatility) case
+        final_ses.append(_std_error(fin))
     return KappaReport(
         eps_grid=tuple(eps),
         sup_mean_sq=tuple(sup_mean_sq),
         final_means=tuple(final_means),
         final_mean_ses=tuple(final_ses),
-        slope=slope,
+        slope=_loglog_slope(eps, sup_mean_sq),
         slope_floor=2.0 - mp_base.hurst - 0.2,
         hurst=mp_base.hurst,
         n_mc=n_mc,
