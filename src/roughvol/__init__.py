@@ -18,10 +18,8 @@ from .kernel import (
     KernelEval,
     cov_CZ,
     cov_RL,
-    cov_sigma,
     gamma_reflect,
     kernel_K,
-    psi_of_C,
     sigma_ou,
 )
 from .gaussfunc import (
@@ -31,9 +29,11 @@ from .gaussfunc import (
     GroupParams,
     TabulatedVol,
     VolFunction,
+    cov_sigma,
     d_bar,
     group_params,
     moments,
+    psi_of_C,
     sigma_bar,
 )
 from .pricing import (

@@ -552,7 +552,7 @@ def cmd_study(cfg: RunConfig, which: str):
             mp, cfg.eps_grid, cfg.payoff_fn(),
             n_paths=cfg.n_paths or experiments.N_PATHS_PRICING,
             seed=cfg.seed,
-            points_per_eps=max(4, min(cfg.points_per_eps, 8)),
+            points_per_eps=cfg.points_per_eps,
             warmup_mult=cfg.warmup_mult,
         )
     n_mc = cfg.n_paths or experiments.N_PATHS_LEMMA

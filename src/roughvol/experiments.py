@@ -23,8 +23,8 @@ from scipy import integrate, special
 from scipy import signal  # noqa: F401  (bench/tracer.py proxies experiments.signal)
 
 from . import pricing
-from .gaussfunc import GroupParams, g_prime_sup, group_params, mean_FFp
-from .kernel import _gh_nodes
+from .gaussfunc import (GroupParams, g_prime_sup, gaussian_profile,
+                        group_params, mean_FFp)
 from .simulate import (
     FactorSampler,
     ModelParams,
@@ -53,7 +53,6 @@ __all__ = [
 
 N_PATHS_PRICING = 200_000  # default path budget for price estimates
 N_PATHS_LEMMA = 20_000     # default path budget for remainder-rate checks
-_PROFILE_GH_ORDER = 40     # Gauss-Hermite order of _gaussian_profile
 
 _SUP_NOTE = ("sup over t in [0,T] is probed only at t=0 and t=T/2 "
              "(sample-average proxy at the interior time); full-sup "
@@ -498,17 +497,6 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
 # -- conditional-expectation machinery for the remainder checks -----------------
 
 
-def _gaussian_profile(fn, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """E[fn(N(m, v))] columnwise for (paths, times) means."""
-    nodes, weights = _gh_nodes(_PROFILE_GH_ORDER)
-    out = np.empty_like(means)
-    for i in range(means.shape[1]):
-        sd = math.sqrt(max(variances[i], 0.0))
-        pts = means[:, i][:, None] + sd * nodes[None, :]
-        out[:, i] = np.asarray(fn(pts), dtype=float) @ weights
-    return out
-
-
 @dataclass(frozen=True)
 class VarthetaReport(_ReportMixin):
     """Sample behaviour of the volatility-adjustment product at t=0.
@@ -564,7 +552,10 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
 
     Per path the conditional expectation E[G'(Z_s) | time-0 info] is a
     one-dimensional Gaussian integral with mean given by the warmup part
-    of the moving average and variance ``sigma_ou^2 int_0^{s/eps} K^2``.
+    of the moving average and variance ``sigma_ou^2 int_0^{s/eps} K^2``;
+    :func:`roughvol.gaussfunc.gaussian_profile` evaluates it for every path
+    and node from one smoothed table of ``G' = FF'``, with a checked error
+    below ``1e-7 max|FF'|``.
     The s-quadrature is the trapezoid rule with exact kernel cell masses
     on the fine sub-grid the increments are drawn on (``kappa`` nodes per
     price step), which resolves the ``s^(2H)`` correlation cusp at the
@@ -609,7 +600,7 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
         m = sampler.conditional_means(warm, fine=True)
         z0 = m[:, 0] + so * (sampler.r_std * block[:, n_xi]
                              + sampler.eta_std[0] * block[:, n_xi + 1])
-        gprof = _gaussian_profile(vol.ffp, m, variances)
+        gprof = gaussian_profile(vol.ffp, mp.hurst, m, variances)
         theta = so * sqeps * _trapezoid_cells(gprof, masses)
         sigma0 = vol(z0)
         prod = sigma0 * theta
@@ -627,7 +618,7 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
                 + sampler.eta_std[i_int] * block[:, n_xi + 3]
             )
             v2 = variances[: n_fine + 1 - i_fine]
-            gprof2 = _gaussian_profile(vol.ffp, m2, v2)
+            gprof2 = gaussian_profile(vol.ffp, mp.hurst, m2, v2)
             theta2 = so * sqeps * _trapezoid_cells(gprof2,
                                                    masses[: n_fine - i_fine])
             samples_int.append(vol(zt) * theta2)
@@ -691,8 +682,13 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
                        warmup_mult: float = 24.0) -> PhiReport:
     """Estimate E[phi_0^2], phi_0 = int_0^T E[G(Z_s)|time-0 info] ds.
 
-    The second moment must decay like ``eps^(2-2H)``; the report carries
-    the fitted log-log slope and the (zero-mean) sample means per epsilon.
+    The conditional expectation ``E[G(Z_s) | time-0 info]``, with
+    ``G = (F^2 - sigma_bar^2)/2``, is Gaussian in the factor with the
+    warmup mean and variance ``sigma_ou^2 int_0^{s/eps} K^2``, and comes
+    from :func:`roughvol.gaussfunc.gaussian_profile` (checked error below
+    ``1e-7 max|G|``).  The second moment must decay like
+    ``eps^(2-2H)``; the report carries the fitted log-log slope and the
+    (zero-mean) sample means per epsilon.
     """
     eps = _check_dyadic(eps_grid)
     _check_se_paths("n_mc", n_mc)
@@ -717,7 +713,7 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
         for block in normal_blocks(_stream_seed(seed, stream), n_mc,
                                    kap * n_w):
             m = sampler.conditional_means(block)
-            gprof = _gaussian_profile(g_fn, m, variances)
+            gprof = gaussian_profile(g_fn, mp.hurst, m, variances)
             phis.append(gprof @ trap_w)
         phi = np.concatenate(phis)
         sq = phi**2

@@ -4,7 +4,8 @@ The volatility process is ``sigma_t = F(Z_t)`` where ``Z`` is the stationary
 Gaussian factor with standard deviation ``sigma_ou``.  The model hypotheses
 require ``F`` to be one-to-one, positive, smooth, bounded and with bounded
 derivatives; :class:`BoundedSigmoid` is the default family satisfying all of
-them.  This module computes the scalar functionals that parametrize prices:
+them.  This module is the one place that computes Gaussian expectations of
+a volatility function:
 
 * the moments ``<F^j> = E[F(sigma_ou Z)^j]`` and ``<F'^j>``,
 * the effective volatility ``sigma_bar = sqrt(<F^2>)`` and the diffusion
@@ -13,10 +14,16 @@ them.  This module computes the scalar functionals that parametrize prices:
 
       d_bar = sigma_ou * int_0^infty E[F(sigma_ou Z) (FF')(sigma_ou Z')] K(s) ds,
 
-  where ``(Z, Z')`` is bivariate normal with correlation ``C_Z(s)``.
+  where ``(Z, Z')`` is bivariate normal with correlation ``C_Z(s)``,
+* the volatility autocovariance ``Psi(c) = Cov(F(sigma_ou Z), F(sigma_ou Z'))``
+  at correlation ``c`` (:func:`psi_of_C`, :func:`cov_sigma`),
+* the conditional profiles ``E[G(m + sd Z)]`` over many means ``m``
+  (:func:`gaussian_profile`).
 
-Every expectation over ``Z`` uses one fixed trapezoid rule, and ``d_bar``
-is a Mehler--Hermite series with coefficients projected on that rule.
+Every expectation over ``Z`` uses one fixed trapezoid rule, checked at
+run time against its every-other-node half; ``d_bar`` and ``Psi`` are
+Mehler--Hermite series with coefficients projected on that rule, and the
+profiles smooth one table of ``G`` on the same nodes at half the step.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import interpolate, special
+from scipy import fft, interpolate, special
 
 from .kernel import CovarianceEval, KernelEval, gamma_reflect, sigma_ou
 # not used here: bench/test_bench.py asserts that gaussfunc binds this name
@@ -44,6 +51,9 @@ __all__ = [
     "d_bar",
     "group_params",
     "g_prime_sup",
+    "psi_of_C",
+    "cov_sigma",
+    "gaussian_profile",
 ]
 
 
@@ -301,12 +311,31 @@ class GroupParams:
 # and off by 8e-8 at 76.
 _Z = np.linspace(-16.0, 16.0, 3201)
 _W = 0.01 * np.exp(-0.5 * _Z * _Z) / math.sqrt(2.0 * math.pi)
-_N_TERMS = 1000  # terms of the Mehler series for d_bar
+_N_TERMS = 1000  # terms of the Mehler series for d_bar and Psi
+# Absolute error the fixed rule is held to.  Geometric convergence makes the
+# step-0.02 rule's error about the square root of the step-0.01 rule's, in
+# units of the integrand's peak, so the full rule's implied error is
+# (full - half)^2 / peak.  For BoundedSigmoid(0.05, 0.85, slope) at H 0.1
+# the check first fails at slope 42, where <F'^2> is still within 3e-12.
+_RULE_TOL = 1e-10
 
 
 def _expect(values) -> float:
-    """``E[g(Z)]`` from the values ``g(_Z)`` on the fixed rule."""
-    return float(_W @ values)
+    """``E[g(Z)]`` from the values ``g(_Z)`` on the fixed rule.
+
+    Raises ``RuntimeError`` if the rule's implied error, from its
+    every-other-node half, exceeds ``_RULE_TOL``.
+    """
+    full = float(_W @ values)
+    gap = full - 2.0 * float(_W[::2] @ values[::2])
+    peak = float(np.max(np.abs(_W * values))) / 0.01
+    if gap * gap > _RULE_TOL * peak:
+        raise RuntimeError(
+            "the fixed Gaussian rule does not resolve this vol function: its "
+            f"step-0.01 and step-0.02 sums differ by {gap:.3e}, an implied "
+            f"error of {gap * gap / peak:.3e} above {_RULE_TOL:.0e}"
+        )
+    return full
 
 
 def moments(vol_fn: VolFunction, hurst):
@@ -314,7 +343,7 @@ def moments(vol_fn: VolFunction, hurst):
 
     All are expectations of ``F(sigma_ou Z)`` (respectively ``F'``) under
     standard normal ``Z``, evaluated on the module's fixed trapezoid rule
-    (absolute error below 1e-10 for the bounded families).
+    (absolute error below 1e-10, checked at run time).
     """
     y = sigma_ou(hurst) * _Z
     f, fp = vol_fn(y), vol_fn.deriv(y)
@@ -329,6 +358,24 @@ def mean_FFp(vol_fn: VolFunction, hurst) -> float:
     infinite horizon.
     """
     return _expect(vol_fn.ffp(sigma_ou(hurst) * _Z))
+
+
+def _hermite_projection(*values):
+    """Per function ``g`` (values ``g(_Z)``): ``c_k = E[g(Z) He_k(Z)]/sqrt(k!)``
+    for ``k <= _N_TERMS`` and the Parseval remainder ``E[g^2] - sum_k c_k^2``,
+    floored at the rounding bound of the dot products.  ``psi_k =
+    sqrt(_W) He_k/sqrt(k!)`` stay bounded and come one row at a time from
+    the three-term recurrence."""
+    psi_prev, psi = np.zeros_like(_Z), np.sqrt(_W)
+    us = [psi * v for v in values]
+    coef = np.empty((len(us), _N_TERMS + 1))
+    for k in range(_N_TERMS + 1):
+        for i, u in enumerate(us):
+            coef[i, k] = u @ psi
+        psi_prev, psi = psi, (_Z * psi - math.sqrt(k) * psi_prev) / math.sqrt(k + 1)
+    norms = [_expect(v * v) for v in values]
+    rounding = _Z.size * np.finfo(float).eps
+    return [(c, max(n - float(c @ c), rounding * n)) for c, n in zip(coef, norms)]
 
 
 def sigma_bar(vol_fn: VolFunction, hurst) -> float:
@@ -392,19 +439,9 @@ def d_bar(
     so = ke.sigma_ou
     a = h + 0.5
 
-    # alpha_k, beta_k against psi_k = sqrt(_W) He_k/sqrt(k!), which stay
-    # bounded; the three-term recurrence runs one row at a time
-    psi_prev, psi = np.zeros_like(_Z), np.sqrt(_W)
-    u1, u2 = psi * vol_fn(so * _Z), psi * vol_fn.ffp(so * _Z)
-    alpha, beta = np.empty(_N_TERMS + 1), np.empty(_N_TERMS + 1)
-    for k in range(_N_TERMS + 1):
-        alpha[k], beta[k] = u1 @ psi, u2 @ psi
-        psi_prev, psi = psi, (_Z * psi - math.sqrt(k) * psi_prev) / math.sqrt(k + 1)
+    (alpha, rem_alpha), (beta, rem_beta) = _hermite_projection(
+        vol_fn(so * _Z), vol_fn.ffp(so * _Z))
     coef = (alpha * beta).tolist()
-    # Parseval remainders, floored at the rounding bound of the dot products
-    rounding = _Z.size * np.finfo(float).eps
-    rem_alpha = max(float(u1 @ u1 - alpha @ alpha), rounding * float(u1 @ u1))
-    rem_beta = max(float(u2 @ u2 - beta @ beta), rounding * float(u2 @ u2))
 
     nodes, weights = np.polynomial.legendre.leggauss(20)
     w_edges = np.concatenate(([0.0], np.geomspace(1e-10, 1.0, 41)))
@@ -477,3 +514,85 @@ def group_params(mp) -> GroupParams:
         mean_Fp=mean_fp,
         mean_Fp2=mean_fp2,
     )
+
+
+def psi_of_C(c: float, vol_fn, hurst) -> float:
+    """Volatility covariance ``Psi(c) = Cov(F(sigma_ou Z), F(sigma_ou Z'))``.
+
+    ``(Z, Z')`` is standard bivariate normal with correlation ``c`` in
+    ``[-1, 1]``, so ``Psi(C_Z(s/eps))`` is the autocovariance at lag ``s``.
+    By Mehler's formula ``Psi(c) = sum_{k>=1} alpha_k^2 c^k`` (the
+    coefficients of :func:`d_bar`), summed to ``k = 1000``; raises
+    ``RuntimeError`` if the Parseval bound ``R_alpha |c|^1001`` on the rest
+    exceeds ``1e-10 <F^2>``.
+    """
+    c = float(c)
+    if not abs(c) <= 1.0:
+        raise ValueError(f"correlation must satisfy |c| <= 1; got {c!r}")
+    ((alpha, rem),) = _hermite_projection(vol_fn(sigma_ou(hurst) * _Z))
+    bound, tol = rem * abs(c) ** (_N_TERMS + 1), _RULE_TOL * float(alpha @ alpha)
+    if bound > tol:
+        raise RuntimeError(f"Psi({c!r}) truncation bound {bound:.3e} after "
+                           f"{_N_TERMS} terms exceeds tolerance {tol:.3e}")
+    return c * float(np.polynomial.polynomial.polyval(c, alpha[1:] ** 2))
+
+
+def cov_sigma(s: float, mp) -> float:
+    """Autocovariance ``Psi(C_Z(s/eps))`` of the volatility at lag ``s >= 0``
+    years; ``mp`` provides ``hurst``, ``eps`` and ``vol_fn``."""
+    if not float(s) >= 0.0:
+        raise ValueError("cov_sigma requires s >= 0")
+    c = CovarianceEval(mp.hurst).cov_CZ(float(s) / mp.eps)
+    return psi_of_C(c, mp.vol_fn, mp.hurst)
+
+
+# gaussian_profile's table: u on [-16, 16] at half the fixed rule's step, so
+# that its even nodes are the rule's
+_U = np.linspace(-16.0, 16.0, 6401)
+
+
+def _lagrange4(table, step, u):
+    """4-point Lagrange interpolation of ``table`` (nodes ``-16 + i step``) at ``u``."""
+    p = (u + 16.0) / step
+    i = np.floor(p).astype(np.intp)
+    t = p - i
+    return ((t + 1) * t * (t - 1) * table[i + 2] - t * (t - 1) * (t - 2) * table[i - 1]
+            ) / 6.0 + (t + 1) * (t - 2) * ((t - 1) * table[i] - t * table[i + 1]) / 2.0
+
+
+def gaussian_profile(fn, hurst, means, variances) -> np.ndarray:
+    """``E[fn(m + sd Z)]`` for a ``(paths, nodes)`` array of means ``m``,
+    with one variance ``sd^2`` per node.
+
+    ``fn(sigma_ou u)`` is tabulated once on ``_U``.  Per node, the
+    zero-padded table's ``rfft`` times ``exp(-(sd/sigma_ou)^2 omega^2/2)``
+    is inverted and read at each mean by 4-point Lagrange interpolation;
+    the even-node table takes the same steps, and ``|fine - even|/15``
+    estimates the error.  Raises ``ValueError`` if a mean's ``+-8 sd``
+    window leaves the table, ``RuntimeError`` if the estimate exceeds
+    ``1e-7 max|fn|``.
+    """
+    so = sigma_ou(hurst)
+    u = np.asarray(means, dtype=float) / so
+    sds = np.sqrt(np.maximum(variances, 0.0)) / so
+    values = np.asarray(fn(so * _U), dtype=float)
+    tol = 1e-7 * float(np.max(np.abs(values)))
+    tables = []
+    for step, vals in ((0.005, values), (0.01, values[::2])):
+        n = fft.next_fast_len(2 * vals.size, real=True)
+        omega = 2.0 * math.pi * fft.rfftfreq(n, step)
+        tables.append((step, vals.size, n, -0.5 * omega * omega, fft.rfft(vals, n)))
+    out = np.empty_like(u)
+    for j, s in enumerate(sds):
+        # the stencil at the even step needs two nodes beyond the window
+        if not np.max(np.abs(u[:, j])) + 8.0 * s <= 15.98:
+            raise ValueError(f"node {j}: a mean's +-8 sd window leaves the "
+                             f"smoothing table |m| <= {15.98 * so:.4g}")
+        fine, even = (_lagrange4(fft.irfft(spec * np.exp(s * s * w2), n)[:size],
+                                 step, u[:, j]) for step, size, n, w2, spec in tables)
+        err = float(np.max(np.abs(fine - even))) / 15.0
+        if err > tol:
+            raise RuntimeError(f"node {j}: error estimate {err:.3e} above "
+                               f"{tol:.3e}; fn is too steep for the table")
+        out[:, j] = fine
+    return out

@@ -1,6 +1,6 @@
 """Moving-average kernel and covariance numerics for the fast-scale volatility factor.
 
-This module evaluates, with certified accuracy, the three deterministic
+This module evaluates, with certified accuracy, the deterministic
 ingredients that every other part of the package builds on:
 
 * the moving-average kernel ``K`` of the stationary fractional
@@ -8,9 +8,12 @@ ingredients that every other part of the package builds on:
   ``int_0^infty K(u)^2 du = 1``,
 * the normalized covariance ``C_Z`` of that factor, in two independent
   representations (time-domain and spectral) that are cross-checked
-  against each other,
-* bivariate Gaussian functionals ``Psi`` of a volatility function, and
-  the covariance of the volatility process itself.
+  against each other, and the zero-started covariance ``cov_RL``.
+
+Gaussian expectations of a volatility function, including the volatility
+autocovariance ``Psi``, live in :mod:`roughvol.gaussfunc`.  The
+Gauss--Hermite helpers here (``gaussian_expect``, ``bivariate_expect``)
+serve only as independent references for tests and the benchmark.
 
 The kernel is
 
@@ -42,8 +45,6 @@ __all__ = [
     "gamma_reflect",
     "kernel_K",
     "cov_CZ",
-    "psi_of_C",
-    "cov_sigma",
     "cov_RL",
     "cz_matrix_cholesky",
     "jittered_cholesky",
@@ -613,7 +614,7 @@ def cov_CZ(s, ce: CovarianceEval):
     return ce.cov_CZ(s)
 
 
-# -- bivariate Gaussian functionals ----------------------------------------
+# -- Gauss--Hermite reference rules -----------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
@@ -660,55 +661,6 @@ def bivariate_expect(fn1, fn2, c: float, gh_order: int = 40) -> float:
     z2 = c * z[:, None] + math.sqrt(1.0 - c * c) * z[None, :]
     inner = np.asarray(fn2(z2)) @ w
     return float(np.dot(w, fn1(z) * inner))
-
-
-def psi_of_C(c: float, vol_fn, hurst, gh_order: int = 40) -> float:
-    """Centered volatility-function covariance functional ``Psi(c)``.
-
-    ``Psi(c) = E[F_c(Z) F_c(Z')]`` where ``F_c(z) = F(sigma_ou z) - <F>``
-    and ``(Z, Z')`` is standard bivariate normal with correlation ``c``.
-    ``Psi(1)`` is the stationary variance of the volatility and
-    ``Psi(C_Z(s/eps))`` its autocovariance at lag ``s``.
-
-    Parameters
-    ----------
-    c : float
-        Correlation in ``[-1, 1]``.
-    vol_fn : callable
-        Volatility function ``F`` (see :mod:`roughvol.gaussfunc`).
-    hurst : float or Hurst
-        Hurst exponent (sets ``sigma_ou``).
-    gh_order : int, optional
-        Gauss--Hermite order (default 40).
-
-    Raises
-    ------
-    ValueError
-        If ``|c| > 1`` or ``gh_order < 2``.
-    """
-    if gh_order < 2:
-        raise ValueError(f"gh_order must be >= 2; got {gh_order!r}")
-    so = sigma_ou(hurst)
-    mean_f = gaussian_expect(lambda z: vol_fn(so * z), gh_order)
-
-    def centered(z):
-        return vol_fn(so * z) - mean_f
-
-    return bivariate_expect(centered, centered, c, gh_order)
-
-
-def cov_sigma(s: float, mp, gh_order: int = 40) -> float:
-    """Autocovariance of the volatility process at lag ``s`` (in years).
-
-    ``Cov(sigma_t, sigma_{t+s}) = Psi(C_Z(s/eps))``; at ``s = 0`` this is the
-    stationary variance ``<F^2> - <F>^2``.  ``mp`` provides ``hurst``,
-    ``eps`` and ``vol_fn`` (see :class:`roughvol.simulate.ModelParams`).
-    """
-    s = float(s)
-    if s < 0.0:
-        raise ValueError("cov_sigma requires s >= 0")
-    ce = CovarianceEval(mp.hurst)
-    return psi_of_C(ce.cov_CZ(s / mp.eps), mp.vol_fn, mp.hurst, gh_order)
 
 
 def cov_RL(t: float, s: float, ke: KernelEval) -> float:

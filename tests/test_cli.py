@@ -373,3 +373,24 @@ def test_study_phi_uses_grid_section(tmp_path):
     assert bodies[0][0] == bodies[1][0] == "eps,mean_sq,mean_sq_se,mean,mean_se"
     assert len(bodies[0]) == len(bodies[1]) == 5
     assert bodies[0] != bodies[1]
+
+
+def test_study_convergence_uses_points_per_eps(tmp_path):
+    # [grid] points_per_eps reaches the convergence study as given, with no
+    # cap at 8: a finer grid changes the report body
+    bodies = []
+    for ppe in (8, 16):
+        cfg_path = tmp_path / f"conv{ppe}.json"
+        cfg_path.write_text(json.dumps({
+            "grid": {"points_per_eps": ppe},
+            "payoff": {"type": "smooth_ramp", "center": 1.0, "width": 0.1},
+            "study": {"n_paths": 64, "seed": 1},
+        }))
+        out = tmp_path / f"out{ppe}"
+        assert cli.main(["study", "convergence", "--config", str(cfg_path),
+                         "--out", str(out), "--format", "csv"]) == 0
+        lines = (out / "convergence.csv").read_text().splitlines()
+        bodies.append([line for line in lines if not line.startswith("#")])
+    assert bodies[0][0] == bodies[1][0]
+    assert len(bodies[0]) == len(bodies[1]) == 5
+    assert bodies[0] != bodies[1]

@@ -15,9 +15,11 @@ from roughvol.gaussfunc import (
     TabulatedVol,
     d_bar,
     g_prime_sup,
+    gaussian_profile,
     group_params,
     mean_FFp,
     moments,
+    psi_of_C,
     sigma_bar,
 )
 
@@ -363,3 +365,108 @@ def test_g_prime_sup_positive_and_dominates_origin():
     sup = g_prime_sup(vf)
     assert sup >= float(vf(0.0) * vf.deriv(0.0))
     assert sup <= vf.sigma_max * float(np.max(vf.deriv(np.linspace(-40, 40, 40001))))
+
+
+# ---------------------------------------------------------------------------
+# runtime check of the fixed rule
+
+
+@pytest.mark.parametrize("slope", [100.0, 200.0])
+def test_fixed_rule_check_raises_on_steep_models(slope):
+    # <F'^2> at H 0.1 is off by 9.6e-4 (slope 100) and 0.63 (slope 200) on
+    # the step-0.01 rule; every route through the rule must refuse
+    vf = BoundedSigmoid(0.05, 0.85, slope)
+    with pytest.raises(RuntimeError, match="does not resolve"):
+        moments(vf, 0.1)
+    with pytest.raises(RuntimeError, match="does not resolve"):
+        mean_FFp(vf, 0.1)
+    with pytest.raises(RuntimeError, match="does not resolve"):
+        d_bar(vf, KernelEval(0.1), CovarianceEval(0.1))
+    with pytest.raises(RuntimeError, match="does not resolve"):
+        psi_of_C(0.5, vf, 0.1)
+
+
+def test_fixed_rule_check_passes_below_threshold():
+    # slope 40 at H 0.1: <F'^2> is still within 5e-13 of a step-0.001 rule
+    vf = BoundedSigmoid(0.05, 0.85, 40.0)
+    so = sigma_ou(0.1)
+    z = np.linspace(-16.0, 16.0, 32001)
+    exact = 0.001 * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) @ vf.deriv(so * z) ** 2
+    assert moments(vf, 0.1)[3] == pytest.approx(exact, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# psi_of_C (Mehler series) and gaussian_profile (smoothed table)
+
+
+def rotated_psi_oracle(vf, hurst, c, step=0.01, half_width=10.0):
+    """Dense 2-D trapezoid in (Z, W) with ``Z' = c Z + sqrt(1 - c^2) W``."""
+    so = sigma_ou(hurst)
+    z = np.arange(-half_width, half_width + 0.5 * step, step)
+    w = step * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    f = vf(so * z)
+    mean = w @ f
+    inner = vf(so * (c * z[:, None] + math.sqrt(1.0 - c * c) * z[None, :])) @ w
+    return float(w @ ((f - mean) * (inner - mean)))
+
+
+@pytest.mark.parametrize("c", [0.3, 0.9, 0.999])
+def test_psi_of_c_matches_dense_rotated_oracle_on_steep_model(c):
+    # Gauss-Hermite order 40 was off by 4.1e-7, 4.0e-4 and 1.9e-3 here
+    vf = BoundedSigmoid(0.05, 0.85, 8.0)
+    assert psi_of_C(c, vf, 0.3) == pytest.approx(
+        rotated_psi_oracle(vf, 0.3, c), abs=1e-12)
+
+
+def dense_profile(fn, means, variances):
+    """E[fn(m + sd Z)] by a 24,001-node trapezoid on [-12, 12]."""
+    z = np.linspace(-12.0, 12.0, 24001)
+    w = (z[1] - z[0]) * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    sds = np.sqrt(variances)
+    return np.stack([fn(means[:, j, None] + sds[j] * z) @ w
+                     for j in range(means.shape[1])], axis=1)
+
+
+def profile_block(hurst, seed=0):
+    """Means and variances shaped like a conditional-profile block."""
+    so = sigma_ou(hurst)
+    sds = so * np.concatenate(([0.0], np.linspace(0.01, 1.0, 24)))
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((48, sds.size)) * np.sqrt(so * so - sds * sds)
+    means[0] = 3.0 * so  # far out where the table must still be exact
+    return means, sds * sds
+
+
+def phi_g(hurst):
+    vf = BoundedSigmoid(0.05, 0.85, 3.5)
+    sb2 = moments(vf, hurst)[1]
+    return lambda z: 0.5 * (vf(z) ** 2 - sb2)
+
+
+@pytest.mark.parametrize("hurst, fn", [
+    (0.3, BoundedSigmoid(0.05, 0.85, 3.5).ffp),
+    (0.3, BoundedSigmoid(0.05, 0.85, 8.0).ffp),
+    (0.05, phi_g(0.05)),
+], ids=["acceptance-ffp", "slope8-ffp", "phi-G-H0.05"])
+def test_gaussian_profile_matches_dense_oracle(hurst, fn):
+    # Gauss-Hermite order 40 was off by 2.2e-5, 1.5e-2 and 9.5e-4 here
+    means, variances = profile_block(hurst)
+    got = gaussian_profile(fn, hurst, means, variances)
+    assert got.shape == means.shape
+    assert np.max(np.abs(got - dense_profile(fn, means, variances))) < 1e-7
+
+
+def test_gaussian_profile_under_resolved_table_raises():
+    means, variances = profile_block(0.3)
+    with pytest.raises(RuntimeError, match="too steep"):
+        gaussian_profile(BoundedSigmoid(0.05, 0.85, 200.0).ffp, 0.3, means, variances)
+
+
+def test_gaussian_profile_far_mean_raises():
+    so = sigma_ou(0.3)
+    variances = np.array([0.0, 0.25 * so * so])
+    ok = np.array([[15.9 * so, 11.9 * so]])
+    assert np.all(np.isfinite(gaussian_profile(np.cos, 0.3, ok, variances)))
+    for bad in ([[16.5 * so, 0.0]], [[0.0, 12.5 * so]], [[math.nan, 0.0]]):
+        with pytest.raises(ValueError, match="leaves the smoothing table"):
+            gaussian_profile(np.cos, 0.3, np.array(bad), variances)

