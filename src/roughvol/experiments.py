@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 from scipy import signal  # noqa: F401  (bench/tracer.py proxies experiments.signal)
 
 from . import pricing
@@ -336,21 +336,6 @@ def _q_of_x(x: np.ndarray, mp: ModelParams, gp: GroupParams, payoff,
     return q0 + math.sqrt(mp.eps) * mp.rho * tau * gp.d_bar * d12
 
 
-def _bs_price_pathwise(x: np.ndarray, payoff, vols: np.ndarray,
-                       tau: float) -> np.ndarray:
-    """Black--Scholes price vectorized over per-path spot and volatility."""
-    rt = vols * math.sqrt(tau)
-    if isinstance(payoff, pricing.Call):
-        k = payoff.strike
-        rt_safe = np.where(rt > 0.0, rt, 1.0)
-        d1 = (np.log(x / k) + 0.5 * rt_safe**2) / rt_safe
-        smooth = x * special.ndtr(d1) - k * special.ndtr(d1 - rt_safe)
-        return np.where(rt > 0.0, smooth, np.maximum(x - k, 0.0))
-    nodes, weights = pricing._gh_nodes(pricing._GH_PRICE_ORDER)
-    y = np.exp(rt[:, None] * nodes[None, :] - 0.5 * (rt * rt)[:, None])
-    return np.asarray(payoff(x[:, None] * y), dtype=float) @ weights
-
-
 def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
                       n_paths: int = N_PATHS_PRICING, seed: int = 0,
                       points_per_eps: int = 4, warmup_mult: float = 24.0,
@@ -417,7 +402,7 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
             svar = (sig * sig).sum(axis=1) * grid.dt
             sxw = (sig * xi_w).sum(axis=1) * math.sqrt(grid.dt)
             x_eff = mp.x0 * np.exp(mp.rho * sxw - 0.5 * mp.rho**2 * svar)
-            cond = _bs_price_pathwise(
+            cond = pricing.bs_price_pathwise(
                 x_eff, payoff, rho_c * np.sqrt(svar / t_mat), t_mat
             )
             w_term = xi_w.sum(axis=1) * math.sqrt(grid.dt)
@@ -425,7 +410,7 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
                 mp.rho * gp.sigma_bar * w_term
                 - 0.5 * mp.rho**2 * gp.sigma_bar**2 * t_mat
             )
-            cond0 = _bs_price_pathwise(
+            cond0 = pricing.bs_price_pathwise(
                 x_eff0, payoff,
                 np.full(x_eff0.shape, rho_c * gp.sigma_bar), t_mat
             )

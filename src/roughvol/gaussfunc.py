@@ -564,11 +564,11 @@ def gaussian_profile(fn, hurst, means, variances) -> np.ndarray:
     """``E[fn(m + sd Z)]`` for a ``(paths, nodes)`` array of means ``m``,
     with one variance ``sd^2`` per node.
 
-    ``fn(sigma_ou u)`` is tabulated once on ``_U``.  Per node, the
-    zero-padded table's ``rfft`` times ``exp(-(sd/sigma_ou)^2 omega^2/2)``
-    is inverted and read at each mean by 4-point Lagrange interpolation;
-    the even-node table takes the same steps, and ``|fine - even|/15``
-    estimates the error.  Raises ``ValueError`` if a mean's ``+-8 sd``
+    ``fn(sigma_ou u)`` is tabulated once on ``_U`` and padded to twice its
+    length by a smooth periodic continuation.  Per node, its ``rfft`` times
+    ``exp(-(sd/sigma_ou)^2 omega^2/2)`` is inverted and read at each mean
+    by 4-point Lagrange interpolation; the even-node table takes the same
+    steps, and ``|fine - even|/15`` estimates the error.  Raises ``ValueError`` if a mean's ``+-8 sd``
     window leaves the table, ``RuntimeError`` if the estimate exceeds
     ``1e-7 max|fn|``.
     """
@@ -580,8 +580,14 @@ def gaussian_profile(fn, hurst, means, variances) -> np.ndarray:
     tables = []
     for step, vals in ((0.005, values), (0.01, values[::2])):
         n = fft.next_fast_len(2 * vals.size, real=True)
+        # pad with a C-infinity step from the last value back to the first:
+        # zeros would leave jumps where fn does not decay, which ring into
+        # the table when sd is below ~1.5 steps (4.5e-8 for phi's G)
+        t = np.linspace(0.0, 1.0, n - vals.size + 2)[1:-1]
+        step_up = special.expit((t - 0.5) / (t * (1.0 - t)))
+        padded = np.concatenate((vals, vals[-1] + (vals[0] - vals[-1]) * step_up))
         omega = 2.0 * math.pi * fft.rfftfreq(n, step)
-        tables.append((step, vals.size, n, -0.5 * omega * omega, fft.rfft(vals, n)))
+        tables.append((step, vals.size, n, -0.5 * omega * omega, fft.rfft(padded)))
     out = np.empty_like(u)
     for j, s in enumerate(sds):
         # the stencil at the even step needs two nodes beyond the window

@@ -34,6 +34,7 @@ __all__ = [
     "PriceResult",
     "TermStructureParams",
     "bs_price",
+    "bs_price_pathwise",
     "bs_operator_greeks",
     "corrected_price",
     "implied_vol_invert",
@@ -223,6 +224,21 @@ def bs_price(x, payoff, sigma: float, tau: float):
         y = np.exp(-0.5 * rt * rt + rt * zeta)
         out = payoff.h(x_arr[:, None] * y[None, :]) @ w
     return float(out[0]) if scalar else out
+
+
+def bs_price_pathwise(x: np.ndarray, payoff, vols: np.ndarray,
+                      tau: float) -> np.ndarray:
+    """Black--Scholes price vectorized over per-path spot and volatility."""
+    rt = vols * math.sqrt(tau)
+    if isinstance(payoff, Call):
+        k = payoff.strike
+        rt_safe = np.where(rt > 0.0, rt, 1.0)
+        d1 = (np.log(x / k) + 0.5 * rt_safe**2) / rt_safe
+        smooth = x * special.ndtr(d1) - k * special.ndtr(d1 - rt_safe)
+        return np.where(rt > 0.0, smooth, np.maximum(x - k, 0.0))
+    nodes, weights = _gh_nodes(_GH_PRICE_ORDER)
+    y = np.exp(rt[:, None] * nodes[None, :] - 0.5 * (rt * rt)[:, None])
+    return np.asarray(payoff(x[:, None] * y), dtype=float) @ weights
 
 
 def bs_operator_greeks(x, payoff, sigma: float, tau: float):

@@ -456,6 +456,17 @@ def test_gaussian_profile_matches_dense_oracle(hurst, fn):
     assert np.max(np.abs(got - dense_profile(fn, means, variances))) < 1e-7
 
 
+def test_gaussian_profile_small_sd_near_table_end():
+    # phi's G does not decay at the table ends; a zero-padded table rang
+    # into the table for sd below ~1.5 steps (4.5e-8 at 14 sigma_ou)
+    so = sigma_ou(0.05)
+    means = so * np.array([[0.0], [6.0], [-10.0], [14.0]])
+    for sd in (0.1, 0.5, 1.0):
+        variances = np.array([(sd * 0.005 * so) ** 2])
+        got = gaussian_profile(phi_g(0.05), 0.05, means, variances)
+        assert np.max(np.abs(got - dense_profile(phi_g(0.05), means, variances))) < 1e-11
+
+
 def test_gaussian_profile_under_resolved_table_raises():
     means, variances = profile_block(0.3)
     with pytest.raises(RuntimeError, match="too steep"):
