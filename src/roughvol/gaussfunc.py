@@ -573,7 +573,7 @@ def gaussian_profile(fn, hurst, means, variances) -> np.ndarray:
     ``1e-7 max|fn|``.
     """
     so = sigma_ou(hurst)
-    u = np.asarray(means, dtype=float) / so
+    means = np.asarray(means, dtype=float)
     sds = np.sqrt(np.maximum(variances, 0.0)) / so
     values = np.asarray(fn(so * _U), dtype=float)
     tol = 1e-7 * float(np.max(np.abs(values)))
@@ -588,14 +588,15 @@ def gaussian_profile(fn, hurst, means, variances) -> np.ndarray:
         padded = np.concatenate((vals, vals[-1] + (vals[0] - vals[-1]) * step_up))
         omega = 2.0 * math.pi * fft.rfftfreq(n, step)
         tables.append((step, vals.size, n, -0.5 * omega * omega, fft.rfft(padded)))
-    out = np.empty_like(u)
+    out = np.empty_like(means)
     for j, s in enumerate(sds):
+        u = means[:, j] / so
         # the stencil at the even step needs two nodes beyond the window
-        if not np.max(np.abs(u[:, j])) + 8.0 * s <= 15.98:
+        if not np.max(np.abs(u)) + 8.0 * s <= 15.98:
             raise ValueError(f"node {j}: a mean's +-8 sd window leaves the "
                              f"smoothing table |m| <= {15.98 * so:.4g}")
         fine, even = (_lagrange4(fft.irfft(spec * np.exp(s * s * w2), n)[:size],
-                                 step, u[:, j]) for step, size, n, w2, spec in tables)
+                                 step, u) for step, size, n, w2, spec in tables)
         err = float(np.max(np.abs(fine - even))) / 15.0
         if err > tol:
             raise RuntimeError(f"node {j}: error estimate {err:.3e} above "
