@@ -8,6 +8,10 @@ a header comment, CSV files carry column names on the first line and 17
 significant digits, and each run with an output directory writes a
 ``config.json`` sidecar that re-parses to the identical configuration.
 
+Each config key is declared once, on the :class:`RunConfig` field holding
+it; parsing, serialization, the override flags and the key listing of
+``roughvol --help`` are all read off those declarations.
+
 Exit codes: 0 on success, 2 on configuration errors, and 3 on numerical
 failures (quadrature non-convergence or floating-point breakdown).
 
@@ -18,30 +22,29 @@ thread pools; the studies themselves are sequential and deterministic.
 from __future__ import annotations
 
 import os
+from typing import Optional
+
+
+def _thread_count(raw: Optional[str]) -> Optional[int]:
+    """The thread count in ``raw``, or None unless ``raw`` is decimal digits
+    worth at least 1: the one rule for ``ROUGHVOL_THREADS``."""
+    if raw and raw.isdecimal() and int(raw) >= 1:
+        return int(raw)
+    return None
 
 
 def _cap_threads() -> None:
     """Propagate ``ROUGHVOL_THREADS`` to the BLAS/OpenMP thread caps.
 
     Must run before the numerical stack is imported, since the pools read
-    these variables at load time.
+    these variables at load time.  A value :func:`main` would reject sets
+    no cap.
     """
-    raw = os.environ.get("ROUGHVOL_THREADS")
-    if not raw:
+    count = _thread_count(os.environ.get("ROUGHVOL_THREADS"))
+    if count is None:
         return
-    try:
-        count = int(raw)
-    except ValueError:
-        return  # re-validated (and rejected) in main()
-    if count < 1:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         os.environ[var] = str(count)
 
 
@@ -53,9 +56,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 from scipy import integrate
 
@@ -76,40 +79,171 @@ __all__ = ["RunConfig", "load_config", "config_hash", "main"]
 _STUDIES = ("convergence", "vartheta", "phi", "kappa", "smile", "termstructure")
 _FORMATS = ("csv", "json", "txt")
 
-_SECTION_KEYS = {
-    "model": (
-        "hurst", "eps", "rho", "x0", "maturity_T",
-        "vol_type", "vol_sigma_min", "vol_sigma_max", "vol_slope", "vol_value",
-    ),
-    "grid": ("points_per_eps", "warmup_mult", "scheme"),
-    "payoff": ("type", "strike", "center", "width", "height"),
-    "study": (
-        "eps_grid", "n_paths", "seed", "t", "t_interior",
-        "strikes_rel", "tau_mr", "delta_sigma",
-    ),
-    "output": ("dir", "formats"),
-}
-
-_VOL_KEYS = {
-    "sigmoid": ("vol_sigma_min", "vol_sigma_max", "vol_slope"),
-    "constant": ("vol_value",),
-}
-_PAYOFF_KEYS = {
-    "call": ("strike",),
-    "smooth_ramp": ("center", "width", "height"),
-}
+# paths a command simulates when [study] n_paths is null
+_DEFAULT_PATHS = dict(
+    price=experiments.N_PATHS_PRICING, convergence=experiments.N_PATHS_PRICING,
+    vartheta=experiments.N_PATHS_LEMMA, phi=experiments.N_PATHS_LEMMA,
+    kappa=experiments.N_PATHS_LEMMA, simulate=8,
+)
 
 
-def _as_float(section: str, key: str, value) -> float:
+# -- config schema ---------------------------------------------------------------
+#
+# A value kind is a function (label, value) -> attribute value that raises
+# ValueError naming ``label`` ("[section] key") when the value is ill-typed.
+
+
+def _number(label: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"[{section}] {key} must be a number; got {value!r}")
+        raise ValueError(f"{label} must be a number; got {value!r}")
     return float(value)
 
 
-def _as_int(section: str, key: str, value) -> int:
+def _integer(label: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"[{section}] {key} must be an integer; got {value!r}")
+        raise ValueError(f"{label} must be an integer; got {value!r}")
     return value
+
+
+def _text(label: str, value) -> str:
+    return str(value)
+
+
+def _numbers(label: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{label} must be a list of numbers")
+    return tuple(_number(label, v) for v in value)
+
+
+def _formats(label: str, value) -> tuple:
+    if isinstance(value, str):
+        value = [f.strip() for f in value.split(",") if f.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{label} must be a list or a comma-separated string")
+    bad = [f for f in value if f not in _FORMATS]
+    if bad:
+        raise ValueError(
+            f"{label} {bad} not supported; expected a subset of {list(_FORMATS)}"
+        )
+    return tuple(f for f in _FORMATS if f in value)
+
+
+def _plain(value):  # the JSON form of an attribute value
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _help_line(key: str, value, note: str = "") -> str:
+    line = f"  {key} = {json.dumps(_plain(value))}"
+    return f"{line:<40} # {note}" if note else line
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key held in one :class:`RunConfig` attribute, and the
+    command-line flag that overrides it, if any.  It accepts null when its
+    default is None.  ``_SCHEMA`` fills in the last three fields."""
+
+    section: str
+    kind: Callable
+    note: str = ""
+    flag: str = ""
+    key: str = ""
+    attr: str = ""
+    default: object = None
+
+    def keys(self) -> tuple:
+        return (self.key,)
+
+    def load(self, entries: dict) -> dict:
+        value = entries.get(self.key, self.default)
+        if value is None and self.default is None:
+            return {self.attr: None}
+        return {self.attr: self.kind(f"[{self.section}] {self.key}", value)}
+
+    def dump(self, cfg: "RunConfig") -> dict:
+        return {self.key: _plain(getattr(cfg, self.attr))}
+
+    def help(self) -> list:
+        return [_help_line(self.key, self.default, self.note)]
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A type key that selects a builder and its number-valued keys.
+
+    ``variants`` maps each type, the default first, to its builder and its
+    parameter keys with their defaults.  The declaring attribute holds the
+    type; attribute ``params`` holds the parameter tuple.
+    """
+
+    section: str
+    key: str
+    params: str
+    variants: dict
+    attr: str = ""
+    default: str = ""
+    flag = ""  # no override flag
+
+    def type_field(self):
+        return field(default=next(iter(self.variants)),
+                     metadata={"config": self})
+
+    def params_default(self) -> tuple:
+        return tuple(next(iter(self.variants.values()))[1].values())
+
+    def keys(self) -> tuple:
+        return (self.key, *(k for _, p in self.variants.values() for k in p))
+
+    def load(self, entries: dict) -> dict:
+        name = entries.get(self.key, self.default)
+        if not isinstance(name, str) or name not in self.variants:
+            raise ValueError(
+                f"[{self.section}] {self.key} must be one of "
+                f"{sorted(self.variants)}; got {name!r}"
+            )
+        chosen = self.variants[name][1]
+        extra = [k for k in self.keys()[1:] if k in entries and k not in chosen]
+        if extra:
+            raise ValueError(
+                f"key(s) {sorted(extra)} in section [{self.section}] do not "
+                f"apply to {self.key} {name!r} (expected {list(chosen)})"
+            )
+        params = tuple(_number(f"[{self.section}] {k}", entries[k])
+                       if k in entries else v for k, v in chosen.items())
+        return {self.attr: name, self.params: params}
+
+    def dump(self, cfg: "RunConfig") -> dict:
+        name = getattr(cfg, self.attr)
+        return {self.key: name,
+                **dict(zip(self.variants[name][1], getattr(cfg, self.params)))}
+
+    def build(self, name: str, params: tuple):
+        return self.variants[name][0](*params)
+
+    def help(self) -> list:
+        return [_help_line(self.key, self.default)] + [
+            _help_line(k, v, f"{self.key} {json.dumps(name)}")
+            for name, (_, params) in self.variants.items()
+            for k, v in params.items()
+        ]
+
+
+def _key(section: str, kind: Callable, default, *, key: str = "",
+         note: str = "", flag: str = ""):
+    return field(default=default,
+                 metadata={"config": _Key(section, kind, note, flag, key)})
+
+
+_VOL = _Family("model", "vol_type", "vol_params", {
+    "sigmoid": (BoundedSigmoid, {"vol_sigma_min": 0.05, "vol_sigma_max": 0.45,
+                                 "vol_slope": 2.5}),
+    "constant": (ConstantVol, {"vol_value": 0.3}),
+})
+_PAYOFF = _Family("payoff", "type", "payoff_params", {
+    "call": (pricing.Call, {"strike": 1.0}),
+    "smooth_ramp": (pricing.smooth_ramp,
+                    {"center": 1.0, "width": 0.2, "height": 1.0}),
+})
 
 
 @dataclass(frozen=True)
@@ -119,31 +253,38 @@ class RunConfig:
     Constructed through :func:`load_config` / :meth:`from_dict`, which
     reject unknown sections and keys and re-validate every module-level
     invariant (model parameters, grid constraints, payoff construction) at
-    load time.
+    load time.  Each field declared by ``_key`` or ``_Family.type_field``
+    is a config input, listed in this order by :meth:`to_dict` and ``--help``.
     """
 
-    hurst: float = 0.3
-    eps: float = 0.05
-    rho: float = -0.5
-    x0: float = 1.0
-    maturity_T: float = 1.0
-    vol_type: str = "sigmoid"
-    vol_params: tuple = (0.05, 0.45, 2.5)
-    points_per_eps: int = 8
-    warmup_mult: float = 30.0
-    scheme: str = "TruncatedMovingAverage"
-    payoff_type: str = "call"
-    payoff_params: tuple = (1.0,)
-    eps_grid: tuple = (0.1, 0.05, 0.025, 0.0125)
-    n_paths: Optional[int] = None
-    seed: int = 0
-    t: float = 0.0
-    t_interior: Optional[float] = None
-    strikes_rel: tuple = (0.94, 0.97, 1.0, 1.03, 1.06)
-    tau_mr: float = 1.0
-    delta_sigma: float = 0.1
-    out_dir: Optional[str] = None
-    formats: tuple = _FORMATS
+    hurst: float = _key("model", _number, 0.3, flag="--hurst")
+    eps: float = _key("model", _number, 0.05, flag="--eps")
+    rho: float = _key("model", _number, -0.5, flag="--rho")
+    x0: float = _key("model", _number, 1.0)
+    maturity_T: float = _key("model", _number, 1.0)
+    vol_type: str = _VOL.type_field()
+    vol_params: tuple = _VOL.params_default()
+    points_per_eps: int = _key("grid", _integer, 8)
+    warmup_mult: float = _key("grid", _number, 30.0)
+    scheme: str = _key("grid", _text, "TruncatedMovingAverage")
+    payoff_type: str = _PAYOFF.type_field()
+    payoff_params: tuple = _PAYOFF.params_default()
+    eps_grid: tuple = _key("study", _numbers, (0.1, 0.05, 0.025, 0.0125))
+    n_paths: Optional[int] = _key(
+        "study", _integer, None, flag="--paths",
+        note="null: " + ", ".join(f"{cmd} {n:,}"
+                                  for cmd, n in _DEFAULT_PATHS.items()),
+    )
+    seed: int = _key("study", _integer, 0, flag="--seed")
+    t: float = _key("study", _number, 0.0)
+    t_interior: Optional[float] = _key(
+        "study", _number, None, note="null: vartheta checks t = 0 only")
+    strikes_rel: tuple = _key("study", _numbers, (0.94, 0.97, 1.0, 1.03, 1.06))
+    tau_mr: float = _key("study", _number, 1.0)
+    delta_sigma: float = _key("study", _number, 0.1)
+    out_dir: Optional[str] = _key("output", _text, None, key="dir", flag="--out",
+                                  note="null: print only, write no files")
+    formats: tuple = _key("output", _formats, _FORMATS, flag="--format")
 
     # -- construction ---------------------------------------------------------
 
@@ -151,126 +292,24 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config root must be a mapping; got {type(data).__name__}")
-        unknown = set(data) - set(_SECTION_KEYS)
+        unknown = set(data) - set(_SECTIONS)
         if unknown:
             raise ValueError(
                 f"unknown config section(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(_SECTION_KEYS)}"
+                f"expected a subset of {sorted(_SECTIONS)}"
             )
         for section, entries in data.items():
             if not isinstance(entries, dict):
                 raise ValueError(f"section [{section}] must be a mapping")
-            bad = set(entries) - set(_SECTION_KEYS[section])
+            bad = set(entries) - set(_SECTIONS[section])
             if bad:
                 raise ValueError(
                     f"unknown key(s) {sorted(bad)} in section [{section}]; "
-                    f"expected a subset of {sorted(_SECTION_KEYS[section])}"
+                    f"expected a subset of {sorted(_SECTIONS[section])}"
                 )
-
         kw = {}
-        model = data.get("model", {})
-        for key in ("hurst", "eps", "rho", "x0", "maturity_T"):
-            if key in model:
-                kw[key] = _as_float("model", key, model[key])
-        vol_type = model.get("vol_type", cls.vol_type)
-        if vol_type not in _VOL_KEYS:
-            raise ValueError(
-                f"[model] vol_type must be one of {sorted(_VOL_KEYS)}; got {vol_type!r}"
-            )
-        extra = [k for k in model
-                 if k.startswith("vol_") and k != "vol_type"
-                 and k not in _VOL_KEYS[vol_type]]
-        if extra:
-            raise ValueError(
-                f"key(s) {sorted(extra)} in section [model] do not apply to "
-                f"vol_type {vol_type!r} (expected {list(_VOL_KEYS[vol_type])})"
-            )
-        defaults = dict(zip(_VOL_KEYS[cls.vol_type], cls.vol_params))
-        vol_params = tuple(
-            _as_float("model", k, model[k]) if k in model
-            else defaults.get(k, 0.3)
-            for k in _VOL_KEYS[vol_type]
-        )
-        kw["vol_type"] = vol_type
-        kw["vol_params"] = vol_params
-
-        grid = data.get("grid", {})
-        if "points_per_eps" in grid:
-            kw["points_per_eps"] = _as_int("grid", "points_per_eps",
-                                           grid["points_per_eps"])
-        if "warmup_mult" in grid:
-            kw["warmup_mult"] = _as_float("grid", "warmup_mult",
-                                          grid["warmup_mult"])
-        if "scheme" in grid:
-            kw["scheme"] = str(grid["scheme"])
-
-        payoff = data.get("payoff", {})
-        payoff_type = payoff.get("type", cls.payoff_type)
-        if payoff_type not in _PAYOFF_KEYS:
-            raise ValueError(
-                f"[payoff] type must be one of {sorted(_PAYOFF_KEYS)}; "
-                f"got {payoff_type!r}"
-            )
-        extra = [k for k in payoff
-                 if k != "type" and k not in _PAYOFF_KEYS[payoff_type]]
-        if extra:
-            raise ValueError(
-                f"key(s) {sorted(extra)} in section [payoff] do not apply to "
-                f"payoff type {payoff_type!r} "
-                f"(expected {list(_PAYOFF_KEYS[payoff_type])})"
-            )
-        pdefaults = {"strike": 1.0, "center": 1.0, "width": 0.2, "height": 1.0}
-        kw["payoff_type"] = payoff_type
-        kw["payoff_params"] = tuple(
-            _as_float("payoff", k, payoff[k]) if k in payoff else pdefaults[k]
-            for k in _PAYOFF_KEYS[payoff_type]
-        )
-
-        study = data.get("study", {})
-        if "eps_grid" in study:
-            grid_val = study["eps_grid"]
-            if not isinstance(grid_val, (list, tuple)):
-                raise ValueError("[study] eps_grid must be a list of numbers")
-            kw["eps_grid"] = tuple(
-                _as_float("study", "eps_grid", v) for v in grid_val
-            )
-        if "n_paths" in study and study["n_paths"] is not None:
-            kw["n_paths"] = _as_int("study", "n_paths", study["n_paths"])
-        if "seed" in study:
-            kw["seed"] = _as_int("study", "seed", study["seed"])
-        if "t" in study:
-            kw["t"] = _as_float("study", "t", study["t"])
-        if "t_interior" in study and study["t_interior"] is not None:
-            kw["t_interior"] = _as_float("study", "t_interior",
-                                         study["t_interior"])
-        if "strikes_rel" in study:
-            strikes = study["strikes_rel"]
-            if not isinstance(strikes, (list, tuple)):
-                raise ValueError("[study] strikes_rel must be a list of numbers")
-            kw["strikes_rel"] = tuple(
-                _as_float("study", "strikes_rel", v) for v in strikes
-            )
-        if "tau_mr" in study:
-            kw["tau_mr"] = _as_float("study", "tau_mr", study["tau_mr"])
-        if "delta_sigma" in study:
-            kw["delta_sigma"] = _as_float("study", "delta_sigma",
-                                          study["delta_sigma"])
-
-        output = data.get("output", {})
-        if "dir" in output and output["dir"] is not None:
-            kw["out_dir"] = str(output["dir"])
-        if "formats" in output:
-            formats = output["formats"]
-            if isinstance(formats, str):
-                formats = [f.strip() for f in formats.split(",") if f.strip()]
-            bad = set(formats) - set(_FORMATS)
-            if bad:
-                raise ValueError(
-                    f"[output] formats {sorted(bad)} not supported; "
-                    f"expected a subset of {list(_FORMATS)}"
-                )
-            kw["formats"] = tuple(f for f in _FORMATS if f in formats)
-
+        for spec in _SCHEMA:
+            kw.update(spec.load(data.get(spec.section, {})))
         cfg = cls(**kw)
         cfg.validate()
         return cfg
@@ -298,9 +337,7 @@ class RunConfig:
     # -- builders -------------------------------------------------------------
 
     def vol_fn(self):
-        if self.vol_type == "sigmoid":
-            return BoundedSigmoid(*self.vol_params)
-        return ConstantVol(*self.vol_params)
+        return _VOL.build(self.vol_type, self.vol_params)
 
     def model(self) -> ModelParams:
         return ModelParams(hurst=self.hurst, eps=self.eps, rho=self.rho,
@@ -312,45 +349,27 @@ class RunConfig:
                                  self.warmup_mult, scheme=self.scheme)
 
     def payoff_fn(self):
-        if self.payoff_type == "call":
-            return pricing.Call(*self.payoff_params)
-        return pricing.smooth_ramp(*self.payoff_params)
+        return _PAYOFF.build(self.payoff_type, self.payoff_params)
 
     # -- serialization ----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        model = {
-            "hurst": self.hurst, "eps": self.eps, "rho": self.rho,
-            "x0": self.x0, "maturity_T": self.maturity_T,
-            "vol_type": self.vol_type,
-        }
-        model.update(dict(zip(_VOL_KEYS[self.vol_type], self.vol_params)))
-        payoff = {"type": self.payoff_type}
-        payoff.update(dict(zip(_PAYOFF_KEYS[self.payoff_type],
-                               self.payoff_params)))
-        return {
-            "model": model,
-            "grid": {
-                "points_per_eps": self.points_per_eps,
-                "warmup_mult": self.warmup_mult,
-                "scheme": self.scheme,
-            },
-            "payoff": payoff,
-            "study": {
-                "eps_grid": list(self.eps_grid),
-                "n_paths": self.n_paths,
-                "seed": self.seed,
-                "t": self.t,
-                "t_interior": self.t_interior,
-                "strikes_rel": list(self.strikes_rel),
-                "tau_mr": self.tau_mr,
-                "delta_sigma": self.delta_sigma,
-            },
-            "output": {
-                "dir": self.out_dir,
-                "formats": list(self.formats),
-            },
-        }
+        data: dict = {}
+        for spec in _SCHEMA:
+            data.setdefault(spec.section, {}).update(spec.dump(self))
+        return data
+
+
+# every config input in declaration order, and the keys of each section
+_SCHEMA = tuple(
+    replace(spec, key=spec.key or f.name, attr=f.name, default=f.default)
+    for f in fields(RunConfig) if (spec := f.metadata.get("config"))
+)
+_SECTIONS = {
+    section: tuple(k for spec in _SCHEMA if spec.section == section
+                   for k in spec.keys())
+    for section in dict.fromkeys(spec.section for spec in _SCHEMA)
+}
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -505,7 +524,7 @@ def cmd_price(cfg: RunConfig) -> PriceReport:
         grid = cfg.grid(mp_mc)
         est = experiments.mc_price(
             mp_mc, grid, payoff,
-            n_paths=cfg.n_paths or experiments.N_PATHS_PRICING,
+            n_paths=cfg.n_paths or _DEFAULT_PATHS["price"],
             seed=cfg.seed,
         )
     return PriceReport(
@@ -530,7 +549,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
         )
     mp = cfg.model()
     grid = cfg.grid(mp)
-    n_paths = cfg.n_paths or 8
+    n_paths = cfg.n_paths or _DEFAULT_PATHS["simulate"]
     bundle = concat_bundles(simulate_paths(mp, grid, n_paths, cfg.seed))
     return dump_paths(mp, grid, bundle, cfg.out_dir,
                       header_lines=(f"config = {config_hash(cfg)}",))
@@ -547,28 +566,21 @@ def cmd_study(cfg: RunConfig, which: str):
     mp = cfg.model()
     if which == "smile":
         return experiments.smile_study(mp, cfg.eps_grid, cfg.strikes_rel)
-    if which == "convergence":
-        return experiments.convergence_study(
-            mp, cfg.eps_grid, cfg.payoff_fn(),
-            n_paths=cfg.n_paths or experiments.N_PATHS_PRICING,
-            seed=cfg.seed,
-            points_per_eps=cfg.points_per_eps,
-            warmup_mult=cfg.warmup_mult,
-        )
-    n_mc = cfg.n_paths or experiments.N_PATHS_LEMMA
+    n_mc = cfg.n_paths or _DEFAULT_PATHS[which]
     if which == "vartheta":
         return experiments.vartheta_check(
             mp, cfg.grid(mp), n_paths=n_mc, seed=cfg.seed,
             t_interior=cfg.t_interior,
         )
     grid = dict(points_per_eps=cfg.points_per_eps, warmup_mult=cfg.warmup_mult)
-    if which == "phi":
-        return experiments.phi_variance_check(
-            mp, cfg.eps_grid, n_mc=n_mc, seed=cfg.seed, **grid
+    if which == "convergence":
+        return experiments.convergence_study(
+            mp, cfg.eps_grid, cfg.payoff_fn(), n_paths=n_mc, seed=cfg.seed,
+            **grid
         )
-    return experiments.kappa_check(
-        mp, cfg.eps_grid, n_mc=n_mc, seed=cfg.seed, **grid
-    )
+    check = (experiments.phi_variance_check if which == "phi"
+             else experiments.kappa_check)
+    return check(mp, cfg.eps_grid, n_mc=n_mc, seed=cfg.seed, **grid)
 
 
 # -- emission ------------------------------------------------------------------
@@ -606,24 +618,18 @@ def _emit(report, name: str, cfg: RunConfig) -> list:
 
 # -- argument parsing ------------------------------------------------------------
 
+# argparse type and metavar of a flag, by the kind of the key it sets
+_FLAG_TYPES = {_integer: (int, "N"), _number: (float, "X")}
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH",
-                     help="config file (INI sections or JSON)")
-    sub.add_argument("--seed", type=int, metavar="N",
-                     help="override study.seed")
-    sub.add_argument("--paths", type=int, metavar="N",
-                     help="override study.n_paths")
-    sub.add_argument("--eps", type=float, metavar="X",
-                     help="override model.eps")
-    sub.add_argument("--hurst", type=float, metavar="X",
-                     help="override model.hurst")
-    sub.add_argument("--rho", type=float, metavar="X",
-                     help="override model.rho")
-    sub.add_argument("--out", metavar="DIR",
-                     help="override output.dir (enables file emission)")
-    sub.add_argument("--format", metavar="LIST",
-                     help="override output.formats, e.g. csv,json")
+
+def _epilog() -> str:
+    lines = ["config keys and defaults (INI syntax, JSON-typed values):"]
+    for section in _SECTIONS:
+        lines.append(f"  [{section}]")
+        lines += [line for spec in _SCHEMA if spec.section == section
+                  for line in spec.help()]
+    lines.append("ROUGHVOL_THREADS=N caps the linear-algebra thread pools.")
+    return "\n".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -633,69 +639,56 @@ def _build_parser() -> argparse.ArgumentParser:
             "Fast-mean-reverting rough volatility: group parameters, "
             "corrected prices, path simulation, and verification studies."
         ),
-        epilog=(
-            "Defaults: sigmoid volatility (0.05, 0.45, 2.5), H=0.3, "
-            "eps=0.05, rho=-0.5, call payoff at strike 1.0, maturity 1.0, "
-            "eps grid (0.1, 0.05, 0.025, 0.0125), formats csv,json,txt.  "
-            "ROUGHVOL_THREADS caps the linear-algebra thread pools."
-        ),
+        epilog=_epilog(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for name, doc in (
         ("params", "print group market parameters and moments"),
         ("price", "corrected price next to a Monte Carlo estimate"),
         ("simulate", "dump simulated paths as CSV files"),
+        ("study", "run a named verification study"),
     ):
-        _add_common(commands.add_parser(name, help=doc))
-    study = commands.add_parser("study", help="run a named verification study")
-    study.add_argument("which", choices=_STUDIES)
-    _add_common(study)
+        sub = commands.add_parser(name, help=doc)
+        if name == "study":
+            sub.add_argument("which", choices=_STUDIES)
+        sub.add_argument("--config", metavar="PATH",
+                         help="config file (INI sections or JSON)")
+        for spec in _SCHEMA:
+            if spec.flag:
+                kind, metavar = _FLAG_TYPES.get(spec.kind, (str, spec.key.upper()))
+                sub.add_argument(spec.flag, dest=spec.attr, type=kind,
+                                 metavar=metavar,
+                                 help=f"override [{spec.section}] {spec.key}")
     return parser
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    over = {}
-    if args.seed is not None:
-        over[("study", "seed")] = args.seed
-    if args.paths is not None:
-        over[("study", "n_paths")] = args.paths
-    if args.eps is not None:
-        over[("model", "eps")] = args.eps
-    if args.hurst is not None:
-        over[("model", "hurst")] = args.hurst
-    if args.rho is not None:
-        over[("model", "rho")] = args.rho
-    if args.out is not None:
-        over[("output", "dir")] = args.out
-    if args.format is not None:
-        over[("output", "formats")] = args.format
-    return over
+    values = vars(args)
+    return {(spec.section, spec.key): values[spec.attr] for spec in _SCHEMA
+            if spec.flag and values[spec.attr] is not None}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         raw_threads = os.environ.get("ROUGHVOL_THREADS")
-        if raw_threads is not None:
-            if not raw_threads.isdigit() or int(raw_threads) < 1:
-                raise ValueError(
-                    f"ROUGHVOL_THREADS must be a positive integer; "
-                    f"got {raw_threads!r}"
-                )
+        if raw_threads is not None and _thread_count(raw_threads) is None:
+            raise ValueError(
+                f"ROUGHVOL_THREADS must be a positive integer; "
+                f"got {raw_threads!r}"
+            )
         cfg = load_config(args.config, _overrides_from_args(args))
         if args.command == "simulate":
             files = cmd_simulate(cfg)
             print(f"wrote {len(files)} files to {cfg.out_dir}")
             return 0
         if args.command == "params":
-            report = cmd_params(cfg)
-            name = "params"
+            report, name = cmd_params(cfg), "params"
         elif args.command == "price":
-            report = cmd_price(cfg)
-            name = "price"
+            report, name = cmd_price(cfg), "price"
         else:
-            report = cmd_study(cfg, args.which)
-            name = args.which
+            report, name = cmd_study(cfg, args.which), args.which
         sys.stdout.write(report.to_text())
         files = _emit(report, name, cfg)
         for path in files:

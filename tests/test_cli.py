@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,105 @@ def test_config_hash_tracks_content(ini_path):
     assert config_hash(bumped) != config_hash(cfg)
 
 
+def test_config_hashes_pinned():
+    # the hash keys every emitted artifact: a change here re-keys them all
+    assert config_hash(RunConfig()) == "5b1bc131fc32"
+    example = Path(__file__).resolve().parents[1] / "demos" / "example_config.ini"
+    assert config_hash(load_config(str(example))) == "8fcf9a0f490c"
+
+
+# one entry per config key, at a non-default value:
+# (section, entries, attribute, value the attribute reads back)
+EVERY_KEY = [
+    ("model", {"hurst": 0.2}, "hurst", 0.2),
+    ("model", {"eps": 0.1}, "eps", 0.1),
+    ("model", {"rho": -0.3}, "rho", -0.3),
+    ("model", {"x0": 1.2}, "x0", 1.2),
+    ("model", {"maturity_T": 2.0}, "maturity_T", 2.0),
+    ("model", {"vol_type": "constant"}, "vol_params", (0.3,)),
+    ("model", {"vol_sigma_min": 0.1}, "vol_params", (0.1, 0.45, 2.5)),
+    ("model", {"vol_sigma_max": 0.6}, "vol_params", (0.05, 0.6, 2.5)),
+    ("model", {"vol_slope": 3.0}, "vol_params", (0.05, 0.45, 3.0)),
+    ("model", {"vol_type": "constant", "vol_value": 0.25}, "vol_params", (0.25,)),
+    ("grid", {"points_per_eps": 16}, "points_per_eps", 16),
+    ("grid", {"warmup_mult": 24.0}, "warmup_mult", 24.0),
+    ("grid", {"scheme": "CholeskyExact"}, "scheme", "CholeskyExact"),
+    ("payoff", {"type": "smooth_ramp"}, "payoff_params", (1.0, 0.2, 1.0)),
+    ("payoff", {"strike": 1.05}, "payoff_params", (1.05,)),
+    ("payoff", {"type": "smooth_ramp", "center": 1.1}, "payoff_params",
+     (1.1, 0.2, 1.0)),
+    ("payoff", {"type": "smooth_ramp", "width": 0.1}, "payoff_params",
+     (1.0, 0.1, 1.0)),
+    ("payoff", {"type": "smooth_ramp", "height": 2.0}, "payoff_params",
+     (1.0, 0.2, 2.0)),
+    ("study", {"eps_grid": [0.2, 0.1]}, "eps_grid", (0.2, 0.1)),
+    ("study", {"n_paths": 500}, "n_paths", 500),
+    ("study", {"seed": 11}, "seed", 11),
+    ("study", {"t": 0.5}, "t", 0.5),
+    ("study", {"t_interior": 0.5}, "t_interior", 0.5),
+    ("study", {"strikes_rel": [0.9, 1.1]}, "strikes_rel", (0.9, 1.1)),
+    ("study", {"tau_mr": 2.0}, "tau_mr", 2.0),
+    ("study", {"delta_sigma": 0.2}, "delta_sigma", 0.2),
+    ("output", {"dir": "results"}, "out_dir", "results"),
+    ("output", {"formats": ["json"]}, "formats", ("json",)),
+]
+EVERY_KEY_NAMES = {(section, key) for section, entries, _, _ in EVERY_KEY
+                   for key in entries}
+
+
+def test_every_key_has_a_round_trip_case():
+    assert len(EVERY_KEY_NAMES) == 28
+    assert EVERY_KEY_NAMES == {(section, key)
+                               for section, keys in cli._SECTIONS.items()
+                               for key in keys}
+
+
+@pytest.mark.parametrize("section, entries, attr, value", EVERY_KEY,
+                         ids=[",".join(e) for _, e, _, _ in EVERY_KEY])
+def test_every_key_round_trips(tmp_path, section, entries, attr, value):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n" + "".join(
+        f"{key} = {json.dumps(v)}\n" for key, v in entries.items()))
+    plain = tmp_path / "run.json"
+    plain.write_text(json.dumps({section: entries}))
+    cfg = load_config(str(ini))
+    assert load_config(str(plain)) == cfg
+    assert getattr(cfg, attr) == value
+    assert cfg != RunConfig()
+
+    dumped = cfg.to_dict()
+    for key, v in entries.items():
+        assert dumped[section][key] == v
+    assert RunConfig.from_dict(dumped) == cfg
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps(dumped))
+    assert load_config(str(again)) == cfg
+
+    if section == "output":
+        assert config_hash(cfg) == config_hash(RunConfig())
+    else:
+        assert config_hash(cfg) != config_hash(RunConfig())
+
+
+def test_help_lists_every_key_and_its_default(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for _, key in EVERY_KEY_NAMES:
+        assert f"  {key} = " in text
+    for line in ("x0 = 1.0", "points_per_eps = 8", "warmup_mult = 30.0",
+                 'scheme = "TruncatedMovingAverage"', "seed = 0", "t = 0.0",
+                 "strikes_rel = [0.94, 0.97, 1.0, 1.03, 1.06]", "tau_mr = 1.0",
+                 "delta_sigma = 0.1", "vol_value = 0.3", "center = 1.0",
+                 "width = 0.2", "height = 1.0"):
+        assert f"  {line}" in text
+    for budget in ("price 200,000", "convergence 200,000", "vartheta 20,000",
+                   "phi 20,000", "kappa 20,000", "simulate 8"):
+        assert budget in text
+    assert "ROUGHVOL_THREADS" in text
+
+
 def test_flag_overrides_take_precedence(ini_path):
     cfg = load_config(ini_path, {
         ("model", "hurst"): 0.35,
@@ -118,6 +218,12 @@ def test_defaults_without_config_file():
     ({"output": {"formats": ["csv", "xml"]}}, "xml"),
     ({"model": {"hurst": "high"}}, "hurst"),
     ({"study": {"n_paths": 2.5}}, "n_paths"),
+    ({"model": {"hurst": None}}, "hurst"),
+    ({"grid": {"warmup_mult": True}}, "warmup_mult"),
+    ({"study": {"strikes_rel": 1.0}}, "strikes_rel"),
+    ({"study": {"t_interior": "x"}}, "t_interior"),
+    ({"output": {"formats": 5}}, "formats"),
+    ({"model": {"vol_type": ["sigmoid"]}}, "vol_type"),
 ])
 def test_unknown_or_ill_typed_keys_rejected(data, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -347,6 +453,17 @@ def test_thread_cap_ignores_unset(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cli._cap_threads()
     assert "OMP_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.parametrize("raw", ["+2", " 2", "2 ", "0", ""])
+def test_thread_env_rejected_by_main_sets_no_cap(monkeypatch, capsys, raw):
+    # one parse rule: a value main() rejects never reaches the thread caps
+    monkeypatch.setenv("ROUGHVOL_THREADS", raw)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cli._cap_threads()
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert cli.main(["study", "termstructure"]) == 2
+    assert "ROUGHVOL_THREADS" in capsys.readouterr().err
 
 
 def test_invalid_thread_env_is_config_error(monkeypatch, capsys):
