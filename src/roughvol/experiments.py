@@ -380,17 +380,18 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
     pair_units = [[] for _ in eps]       # pair means of the CV-adjusted payoff
     interior_units = [[] for _ in eps]   # pair means of h(X_T) - Q_{T/2}(X_{T/2})
     for block in blocks:
+        # base rows: the linear part runs on them, then pairs (a, -a)
         pool_xi, pool_zeta, *own = np.split(block, cuts, axis=1)
         for idx, (mp, grid, sampler, factor) in enumerate(
             zip(models, grids, samplers, factors)
         ):
             warm, r, eta = own[3 * idx: 3 * idx + 3]
             shared_fine = sampler.block_sums(pool_xi, factor)
-            zeta = sampler.block_sums(pool_zeta, factor)
+            zeta = sampler.antithetic(sampler.block_sums(pool_zeta, factor))
             xi = (np.concatenate([warm, shared_fine], axis=1) if sampler.n_w
                   else shared_fine)
-            z = sampler.z_from_normals(xi, r, eta)
-            xi_w = sampler.block_sums(shared_fine, kap)
+            z = sampler.z_from_normals(xi, r, eta, antithetic=True)
+            xi_w = sampler.antithetic(sampler.block_sums(shared_fine, kap))
             sigma = mp.vol_fn(z)
             x = sampler.prices(sigma, xi_w, zeta)
             hx = np.asarray(payoff(x[:, -1]), dtype=float)

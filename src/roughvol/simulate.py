@@ -50,7 +50,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sp_fft
+from scipy import signal  # noqa: F401  (bench/tracer.py proxies simulate.signal)
 
 from .gaussfunc import VolFunction
 from .kernel import CovarianceEval, KernelEval, _hurst_value, jittered_cholesky
@@ -242,8 +243,10 @@ def normal_blocks(seed: int, n_paths: int, ncols: int,
     ``b * 2^128`` of a Philox stream keyed by the seed, so batches never
     overlap, the content of a batch does not depend on how many are
     consumed, and the first ``m`` rows do not depend on ``n_paths >= m``.
-    With ``antithetic=True`` each batch draws half its rows and interleaves
-    each with its negation (rows ``2m, 2m+1``).
+    Each batch draws only the rows it yields.  With ``antithetic=True`` a
+    batch of ``use`` paths yields its ``use // 2`` base rows: path ``2m``
+    takes base row ``m`` and path ``2m + 1`` its negation (see
+    :meth:`FactorSampler.antithetic`).
 
     Raises
     ------
@@ -256,19 +259,15 @@ def normal_blocks(seed: int, n_paths: int, ncols: int,
     if antithetic and n_paths % 2:
         raise ValueError("antithetic sampling requires an even n_paths")
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
-    rows = _BATCH_PATHS // 2 if antithetic else _BATCH_PATHS
 
     def blocks():
         for batch_index, first in enumerate(range(0, n_paths, _BATCH_PATHS)):
             use = min(_BATCH_PATHS, n_paths - first)
             bit = np.random.Philox(key=key, counter=batch_index << 128)
-            block = np.random.Generator(bit).standard_normal((rows, ncols))
-            if antithetic:
-                pairs = np.empty((2 * rows, ncols))
-                pairs[0::2] = block
-                pairs[1::2] = -block
-                block = pairs
-            yield block[:use]
+            # standard_normal fills row-major, so these rows are the first
+            # rows of the full batch
+            yield np.random.Generator(bit).standard_normal(
+                (use // 2 if antithetic else use, ncols))
 
     return blocks()
 
@@ -296,6 +295,13 @@ class FactorSampler:
     ``t = 0``, so ``Z_0 = 0``, there are no warmup increments, no tail
     compensator and no repair draw at ``t = 0``, and the warmup of the grid
     is neither used nor checked.
+
+    The convolution, the block sums and ``Z`` are linear in the draws.
+    For antithetic sampling they are computed on the base rows alone and
+    paired by :meth:`antithetic` before the vol map and the price step;
+    negation is exact and rounding is symmetric in sign, so the output has
+    the bits of computing both rows.  The kernel's spectrum is computed
+    once per input width and kept.
 
     Attributes
     ----------
@@ -344,29 +350,57 @@ class FactorSampler:
                                                * self.delta))
             self.widths = (kap * self.n_w, n + 1, n + 1)
         self.ncols = sum(self.widths) + (kap + 1) * n
+        self._spectra = {}  # input width -> (n, rfft(w_conv, n)), see _convolve
 
     def _convolve(self, xi: np.ndarray) -> np.ndarray:
-        return signal.fftconvolve(xi, self.w_conv[None, :], mode="full", axes=1)
+        """Full convolution of each row of ``xi`` with ``w_conv``.
+
+        The same transforms, padded length and product as
+        ``signal.fftconvolve(xi, w_conv[None, :], mode="full", axes=1)``,
+        so the same bits, with the kernel's spectrum computed once per
+        input width.
+        """
+        width = xi.shape[1]
+        full = width + self.w_conv.size - 1
+        if width not in self._spectra:
+            n = sp_fft.next_fast_len(full, True)
+            self._spectra[width] = n, sp_fft.rfft(self.w_conv, n)
+        n, w_hat = self._spectra[width]
+        return sp_fft.irfft(sp_fft.rfft(xi, n, axis=1) * w_hat, n,
+                            axis=1)[:, :full]
+
+    @staticmethod
+    def antithetic(a: np.ndarray) -> np.ndarray:
+        """Rows ``(a_0, -a_0, a_1, -a_1, ...)`` from base rows ``a``."""
+        out = np.empty((2 * a.shape[0],) + a.shape[1:])
+        out[0::2] = a
+        np.negative(a, out=out[1::2])
+        return out
 
     def z_from_normals(self, xi: np.ndarray, r: np.ndarray,
-                       eta: np.ndarray) -> np.ndarray:
+                       eta: np.ndarray, antithetic: bool = False) -> np.ndarray:
         """Factor values ``Z_0..Z_n`` (batch rows) from standard normals.
 
         ``xi`` holds the fine increments (warmup, then ``[0, T]``), ``r``
         and ``eta`` the repair and tail draws; ``eta`` is ignored when
-        zero-started.
+        zero-started.  With ``antithetic=True`` the draws are base rows
+        and the result holds each row's antithetic pair.
         """
         kap, n = self.kappa, self.n
         conv = self._convolve(xi)
         if self.zero_start:
-            z = np.empty((xi.shape[0], n + 1))
-            z[:, 0] = 0.0
-            z[:, 1:] = self.sig_ou * (conv[:, kap - 1: kap * n: kap]
-                                      + self.r_std * r)
-            return z
-        start = kap * self.n_w - 1
-        core = conv[:, start: start + kap * n + 1: kap]
-        return self.sig_ou * (core + self.r_std * r + self.eta_std[None, :] * eta)
+            z = self.sig_ou * (conv[:, kap - 1: kap * n: kap] + self.r_std * r)
+        else:
+            start = kap * self.n_w - 1
+            core = conv[:, start: start + kap * n + 1: kap]
+            z = self.sig_ou * (core + self.r_std * r
+                               + self.eta_std[None, :] * eta)
+        if antithetic:
+            z = self.antithetic(z)
+        if self.zero_start:
+            # Z_0 = 0 is set after pairing: a negated zero would be -0.0
+            z = np.pad(z, ((0, 0), (1, 0)))
+        return z
 
     def conditional_means(self, warm_xi: np.ndarray,
                           fine: bool = False) -> np.ndarray:
@@ -392,17 +426,26 @@ class FactorSampler:
         return _x_from_vol(self.mp, self.grid.dt, sigma, xi_w, zeta)
 
     def bundle(self, block: np.ndarray, seed: int,
-               decay: Optional[np.ndarray] = None) -> PathBundle:
-        """Paths from one block of ``ncols`` draws; ``decay`` is added to Z."""
+               decay: Optional[np.ndarray] = None,
+               antithetic: bool = False) -> PathBundle:
+        """Paths from one block of ``ncols`` draws; ``decay`` is added to Z.
+
+        With ``antithetic=True`` the block holds base rows (as
+        :func:`normal_blocks` yields them) and the bundle has twice as many
+        rows: the linear part of the scheme runs on the base rows and is
+        paired before the vol map.
+        """
         kap, n, dt = self.kappa, self.n, self.grid.dt
         nfine = kap * (self.n_w + n)
         xi, zeta, r, eta = np.split(
             block, [nfine, nfine + n, nfine + n + self.widths[1]], axis=1)
-        z = self.z_from_normals(xi, r, eta)
+        z = self.z_from_normals(xi, r, eta, antithetic)
         if decay is not None:
             z += decay
         sigma = self.mp.vol_fn(z)
         xi_w = self.block_sums(xi[:, kap * self.n_w:], kap)
+        if antithetic:
+            xi_w, zeta = self.antithetic(xi_w), self.antithetic(zeta)
         x = self.prices(sigma, xi_w, zeta)
         return PathBundle(np.arange(n + 1) * dt, math.sqrt(dt) * xi_w,
                           math.sqrt(dt) * zeta, z, sigma, x, seed)
@@ -496,7 +539,9 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
     Reproducible: the same ``(mp, grid, n_paths, seed, antithetic)`` give
     bit-identical output, and the first ``m`` paths do not depend on
     ``n_paths >= m``.  With ``antithetic=True`` consecutive rows
-    ``(2m, 2m+1)`` use negated Gaussian draws (``n_paths`` must be even).
+    ``(2m, 2m+1)`` use negated Gaussian draws (``n_paths`` must be even);
+    the linear part of the scheme runs once per pair, on the base rows of
+    :func:`normal_blocks`, with the bits of running it on both rows.
 
     Raises
     ------
@@ -508,13 +553,17 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
     if grid.scheme == "TruncatedMovingAverage":
         sampler = FactorSampler(mp, grid)
         for block in normal_blocks(seed, n_paths, sampler.ncols, antithetic):
-            yield sampler.bundle(block, seed)
+            yield sampler.bundle(block, seed, antithetic=antithetic)
         return
     _validate_grid(mp, grid, moving_average=False)
     chol, _ = jittered_cholesky(_exact_joint_cov(mp, grid))
     n, dt = grid.n_steps, grid.dt
     times = np.arange(n + 1) * dt
     for block in normal_blocks(seed, n_paths, 3 * n + 1, antithetic):
+        if antithetic:
+            # paired before the product: a BLAS kernel may sum a row in an
+            # order that depends on the row's position in the block
+            block = FactorSampler.antithetic(block)
         zw = block[:, : 2 * n + 1] @ chol.T
         z = zw[:, : n + 1]
         dw = zw[:, n + 1:]
@@ -541,7 +590,7 @@ def simulate_paths_RL(mp: ModelParams, grid: SimGrid, z0: float,
     sampler = FactorSampler(mp, grid, zero_start=True)
     decay = z0 * np.exp(-np.arange(grid.n_steps + 1) * sampler.delta)
     for block in normal_blocks(seed, n_paths, sampler.ncols, antithetic):
-        yield sampler.bundle(block, seed, decay)
+        yield sampler.bundle(block, seed, decay, antithetic)
 
 
 def concat_bundles(stream) -> PathBundle:

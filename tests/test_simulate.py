@@ -2,9 +2,11 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from roughvol.gaussfunc import BoundedSigmoid
 from roughvol.kernel import CovarianceEval, KernelEval, cov_RL
@@ -443,6 +445,92 @@ def test_rl_reproducible():
     a = next(simulate_paths_RL(mp, grid, 0.3, 64, seed=4))
     b = next(simulate_paths_RL(mp, grid, 0.3, 64, seed=4))
     assert np.array_equal(a.Z, b.Z) and np.array_equal(a.X, b.X)
+
+
+# -- bit-identity of the antithetic and cached-spectrum routes -------------------
+# compared with tobytes(), which, unlike np.array_equal, sees the sign of zero
+
+
+@pytest.mark.parametrize("zero_start", [False, True])
+def test_convolve_matches_fftconvolve(zero_start):
+    mp = make_model()
+    s = FactorSampler(mp, SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0),
+                      zero_start)
+    kap = s.kappa
+    # the widths the sampler is given: the warmup (conditional means), the
+    # history up to an interior time (vartheta_check) and a whole block
+    widths = ({kap * s.n} if zero_start else
+              {kap * s.n_w, kap * (s.n_w + s.n // 2), kap * (s.n_w + s.n)})
+    rng = np.random.default_rng(1)
+    for width in sorted(widths):
+        for rows in (1, 7, 64):
+            xi = rng.standard_normal((rows, width))
+            ref = signal.fftconvolve(xi, s.w_conv[None, :], mode="full", axes=1)
+            assert s._convolve(xi).tobytes() == ref.tobytes()
+    assert sorted(s._spectra) == sorted(widths)
+
+
+def _interleaved_blocks(seed, n_paths, ncols):
+    # each batch draws 2,048 base rows on its own Philox counter and
+    # interleaves every row with its negation, sliced to the paths it holds
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    for b, first in enumerate(range(0, n_paths, 4096)):
+        gen = np.random.Generator(np.random.Philox(key=key, counter=b << 128))
+        base = gen.standard_normal((2048, ncols))
+        pairs = np.empty((4096, ncols))
+        pairs[0::2], pairs[1::2] = base, -base
+        yield pairs[: min(4096, n_paths - first)]
+
+
+@pytest.mark.parametrize("z0", [None, 0.0, 0.7])
+def test_antithetic_paths_match_interleaved_draws(z0):
+    # 4,110 paths: a full batch, then a partial one of 7 antithetic pairs
+    mp = make_model()
+    grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0)
+    n_paths, seed = 4110, 17
+    if z0 is None:
+        s, decay = FactorSampler(mp, grid), None
+        got = simulate_paths(mp, grid, n_paths, seed, antithetic=True)
+    else:
+        s = FactorSampler(mp, grid, zero_start=True)
+        decay = z0 * np.exp(-np.arange(grid.n_steps + 1) * s.delta)
+        got = simulate_paths_RL(mp, grid, z0, n_paths, seed, antithetic=True)
+    sizes = []
+    for bundle, block in zip(got, _interleaved_blocks(seed, n_paths, s.ncols),
+                             strict=True):
+        ref = s.bundle(block, seed, decay)
+        for name in ("times", "dW", "dB", "Z", "sigma", "X"):
+            assert getattr(bundle, name).tobytes() == getattr(ref, name).tobytes(), name
+        sizes.append(bundle.X.shape[0])
+    assert sizes == [4096, 14]
+
+
+def test_zero_start_factor_of_base_rows_keeps_positive_zero():
+    # convergence_study(zero_start=True) pairs Z with no decay added after
+    mp = make_model()
+    s = FactorSampler(mp, SimGrid.for_model(mp), zero_start=True)
+    base = next(normal_blocks(4, 14, s.ncols, antithetic=True))
+    assert base.shape == (7, s.ncols)
+    nfine = s.kappa * s.n
+    xi, r = base[:, :nfine], base[:, nfine + s.n:]
+    paired = s.z_from_normals(xi, r, None, antithetic=True)
+    ref = s.z_from_normals(s.antithetic(xi), s.antithetic(r), None)
+    assert paired.tobytes() == ref.tobytes()
+    assert not np.signbit(paired[:, 0]).any()
+
+
+def test_few_path_batch_draws_only_its_rows():
+    # at eps 0.001 a full 4,096-path block would hold 4096 x 56,962 doubles
+    mp = make_model(eps=0.001, maturity_T=1.0)
+    grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0)
+    tracemalloc.start()
+    try:
+        bundle = next(simulate_paths(mp, grid, 2, seed=0, antithetic=True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bundle.Z.shape == (2, 8001)
+    assert peak < 16 * 2**20
 
 
 # -- path dumps ----------------------------------------------------------------
