@@ -576,19 +576,26 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     theta_mean = (sqeps * so * mean_FFp(vol, mp.hurst)
                   * ke.integrated_K(mp.maturity_T / mp.eps))
 
+    n_xi = kap * n_w if i_int is None else kap * (n_w + i_int)
+    ncols = n_xi + (2 if i_int is None else 4)
+
+    def at_node(block, i, col):
+        """``(sigma_i, theta_i)`` per path at price node ``i`` from the
+        increments before it; ``col`` is the column of its ``r`` draw."""
+        m = sampler.conditional_means(block[:, : kap * (n_w + i)],
+                                      fine=True)[:, kap * i:]
+        z = m[:, 0] + so * (sampler.r_std * block[:, col]
+                            + sampler.eta_std[i] * block[:, col + 1])
+        gprof = gaussian_profile(vol.ffp, mp.hurst, m,
+                                 variances[: n_fine + 1 - kap * i])
+        return vol(z), so * sqeps * _trapezoid_cells(gprof,
+                                                     masses[: n_fine - kap * i])
+
     samples, samples_cov, samples_int = [], [], []
     violations = 0
     max_scaled = 0.0
-    n_xi = kap * n_w if i_int is None else kap * (n_w + i_int)
-    ncols = n_xi + (2 if i_int is None else 4)
     for block in normal_blocks(seed, n_paths, ncols):
-        warm = block[:, : kap * n_w]
-        m = sampler.conditional_means(warm, fine=True)
-        z0 = m[:, 0] + so * (sampler.r_std * block[:, n_xi]
-                             + sampler.eta_std[0] * block[:, n_xi + 1])
-        gprof = gaussian_profile(vol.ffp, mp.hurst, m, variances)
-        theta = so * sqeps * _trapezoid_cells(gprof, masses)
-        sigma0 = vol(z0)
+        sigma0, theta = at_node(block, 0, n_xi)
         prod = sigma0 * theta
         samples.append(prod)
         samples_cov.append((sigma0 - gp.mean_F) * (theta - theta_mean))
@@ -596,18 +603,8 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
         max_scaled = max(max_scaled, float(scaled.max()))
         violations += int(np.sum(scaled > k_bound * (1.0 + 1e-12)))
         if i_int is not None:
-            i_fine = kap * i_int
-            avail = block[:, :n_xi]
-            m2 = sampler.conditional_means(avail, fine=True)[:, i_fine:]
-            zt = m2[:, 0] + so * (
-                sampler.r_std * block[:, n_xi + 2]
-                + sampler.eta_std[i_int] * block[:, n_xi + 3]
-            )
-            v2 = variances[: n_fine + 1 - i_fine]
-            gprof2 = gaussian_profile(vol.ffp, mp.hurst, m2, v2)
-            theta2 = so * sqeps * _trapezoid_cells(gprof2,
-                                                   masses[: n_fine - i_fine])
-            samples_int.append(vol(zt) * theta2)
+            sigma_t, theta_t = at_node(block, i_int, n_xi + 2)
+            samples_int.append(sigma_t * theta_t)
 
     prod = np.concatenate(samples)
     mean = float(prod.mean())
