@@ -16,10 +16,8 @@ from .kernel import (
     CovarianceEval,
     Hurst,
     KernelEval,
-    cov_CZ,
     cov_RL,
     gamma_reflect,
-    kernel_K,
     sigma_ou,
 )
 from .gaussfunc import (
@@ -81,8 +79,6 @@ __all__ = [
     "CovarianceEval",
     "sigma_ou",
     "gamma_reflect",
-    "kernel_K",
-    "cov_CZ",
     "psi_of_C",
     "cov_sigma",
     "cov_RL",

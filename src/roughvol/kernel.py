@@ -6,9 +6,11 @@ ingredients that every other part of the package builds on:
 * the moving-average kernel ``K`` of the stationary fractional
   Ornstein--Uhlenbeck (fOU) volatility factor, normalized so that
   ``int_0^infty K(u)^2 du = 1``,
-* the normalized covariance ``C_Z`` of that factor, in two independent
-  representations (time-domain and spectral) that are cross-checked
-  against each other, and the zero-started covariance ``cov_RL``.
+* the normalized covariance ``C_Z`` of that factor, by one time-domain
+  closed form on whole arrays (``CovarianceEval.cov_CZ``), with the
+  independent spectral quadrature kept as a reference method
+  (``CovarianceEval.cov_CZ_spectral``), and the zero-started covariance
+  ``cov_RL``.
 
 Gaussian expectations of a volatility function, including the volatility
 autocovariance ``Psi``, live in :mod:`roughvol.gaussfunc`.  The
@@ -43,8 +45,6 @@ __all__ = [
     "CovarianceEval",
     "sigma_ou",
     "gamma_reflect",
-    "kernel_K",
-    "cov_CZ",
     "cov_RL",
     "cz_matrix_cholesky",
     "jittered_cholesky",
@@ -59,7 +59,12 @@ _ASYM_SWITCH_IK = 600.0
 # Time-domain covariance switches to its (even) asymptotic series here.
 _ASYM_SWITCH_CZ = 30.0
 _N_ASYM_TERMS = 14
-# Fixed rule for J(t) on (split_point, 60): composite Gauss--Legendre in w,
+# Switch between the small-t Kummer form of K and its large-t routes.
+_SPLIT_POINT = 1.0
+# Absolute tolerance of the adaptive quadrature of the first squared-kernel
+# cell; the two kernel routes must agree at the split to within 10 times it.
+_QUAD_TOL = 1e-9
+# Fixed rule for J(t) on (_SPLIT_POINT, 60): composite Gauss--Legendre in w,
 # half the panels graded geometrically toward w=0 (the w^((1-a)/a) branch
 # point) and half toward w=1 (the e^(-t(1-w^(1/a))) boundary layer of width
 # ~a/t).  Accurate to ~1e-15 absolute for all H in (0, 1/2).
@@ -154,26 +159,16 @@ class KernelEval:
     ----------
     hurst : float or Hurst
         Hurst exponent in ``(0, 1/2)``.
-    quad_tol : float, optional
-        Absolute tolerance of the adaptive quadrature of the first
-        squared-kernel cell (:meth:`ksq_first_cell`) and of the route
-        agreement check at the split (default ``1e-9``).  The fixed rules
-        below are accurate to ~1e-15 regardless.
-    split_point : float, optional
-        Switch between the small-``t`` confluent-hypergeometric form and the
-        large-``t`` stable rewriting (default ``1.0``).  The two routes are
-        required to agree at the split to within ``10 * quad_tol``; a
-        disagreement raises at construction.
 
     Notes
     -----
     Three evaluation routes are used, all for the same bracket
     ``B(t) = t^(a-1) - int_0^t (t-s)^(a-1) e^(-s) ds`` with ``a = H + 1/2``:
 
-    * ``t <= split_point`` -- Kummer form
+    * ``t <= 1`` -- Kummer form
       ``B(t) = t^(a-1) - e^(-t) t^a M(a, a+1, t)/a`` whose series has all
       positive terms (no internal cancellation),
-    * ``split_point < t < 60`` -- the numerically stable rewriting
+    * ``1 < t < 60`` -- the numerically stable rewriting
       ``B(t) = t^(a-1) e^(-t) - J(t)`` with
       ``J(t) = (t^a/a) int_0^1 [1 - w^((1-a)/a)] e^(-t(1-w^(1/a))) dw``
       (substitution ``w = ((t-v)/t)^a`` in the defining integral), evaluated
@@ -186,29 +181,24 @@ class KernelEval:
     per cell to the array kernel: cumulative masses over fixed geometric
     panels of ``[1, 60]`` are tabulated once per evaluator, and each ``t``
     adds the rule over its own partial panel.
+
+    The small- and large-``t`` routes must agree at the split ``t = 1`` to
+    within ``1e-8``; a disagreement raises at construction.
     """
 
-    def __init__(self, hurst, quad_tol: float = 1e-9, split_point: float = 1.0):
+    def __init__(self, hurst):
         self.hurst = _hurst_value(hurst)
-        if not (quad_tol > 0.0):
-            raise ValueError(f"quad_tol must be positive; got {quad_tol!r}")
-        if not (0.0 < split_point < _ASYM_SWITCH_K):
-            raise ValueError(
-                f"split_point must lie in (0, {_ASYM_SWITCH_K}); got {split_point!r}"
-            )
-        self.quad_tol = float(quad_tol)
-        self.split_point = float(split_point)
         self.sigma_ou = sigma_ou(self.hurst)
         self._a = self.hurst + 0.5
         self._norm = self.sigma_ou * float(special.gamma(self._a))
         self._zero_crossing = None
 
-        small = self.kernel_small(self.split_point)
-        large = self.kernel_large(self.split_point)
-        if abs(small - large) > 10.0 * self.quad_tol:
+        small = self.kernel_small(_SPLIT_POINT)
+        large = self.kernel_large(_SPLIT_POINT)
+        if abs(small - large) > 10.0 * _QUAD_TOL:
             raise ValueError(
-                "kernel evaluation routes disagree at split_point "
-                f"{self.split_point}: {small!r} vs {large!r}"
+                "kernel evaluation routes disagree at the split "
+                f"{_SPLIT_POINT}: {small!r} vs {large!r}"
             )
 
     @property
@@ -304,7 +294,7 @@ class KernelEval:
                 "mass via integrated_K instead of evaluating pointwise"
             )
         out = np.empty_like(arr)
-        small = arr <= self.split_point
+        small = arr <= _SPLIT_POINT
         if np.any(small):
             out[small] = self.kernel_small(arr[small])
         if np.any(~small):
@@ -385,7 +375,7 @@ class KernelEval:
             float(delta),
             weight="alg",
             wvar=(2.0 * a - 2.0, 0.0),
-            epsabs=0.1 * self.quad_tol,
+            epsabs=0.1 * _QUAD_TOL,
             epsrel=1e-13,
             limit=200,
         )
@@ -522,9 +512,12 @@ class KernelEval:
         return 2.0 * float(self.integrated_K(self.zero_crossing()))
 
 
-def kernel_K(t, ke: KernelEval):
-    """Kernel value ``K(t)``; free-function form of :meth:`KernelEval.kernel_K`."""
-    return ke.kernel_K(t)
+def _abs_lags(s) -> np.ndarray:
+    """``|s|`` as a float array, rejecting non-finite lags."""
+    arr = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("cov_CZ requires finite s")
+    return np.asarray(np.abs(arr))  # np.abs of a 0-d array is a scalar
 
 
 class CovarianceEval:
@@ -534,84 +527,77 @@ class CovarianceEval:
     ----------
     hurst : float or Hurst
         Hurst exponent in ``(0, 1/2)``.
-    repr : {"TimeDomain", "Spectral"}, optional
-        Which representation :meth:`cov_CZ` uses.  ``TimeDomain`` evaluates
-        the defining integral
-        ``C_Z(s) = [ (1/2) int e^(-|v|) |s+v|^(2H) dv - s^(2H) ] / Gamma(2H+1)``
-        with the ``|s+v|`` kink split out, each piece in closed form
-        (incomplete-gamma / confluent-hypergeometric), switching to an
-        asymptotic series for large ``s``.  ``Spectral`` integrates
-        ``(2 sin(pi H)/pi) int_0^infty cos(s x) x^(1-2H)/(1+x^2) dx`` with
-        oscillatory-tail (Filon-type cycle summation) handling.
-    quad_tol : float, optional
-        Absolute tolerance for the spectral quadrature (default ``1e-9``).
 
     Notes
     -----
+    :meth:`cov_CZ` evaluates the defining integral
+    ``C_Z(s) = [ (1/2) int e^(-|v|) |s+v|^(2H) dv - s^(2H) ] / Gamma(2H+1)``
+    with the ``|s+v|`` kink split out, each piece in closed form
+    (incomplete-gamma / confluent-hypergeometric), switching to an
+    asymptotic series for large ``s``.  :meth:`cov_CZ_spectral` is an
+    independent reference: it integrates
+    ``(2 sin(pi H)/pi) int_0^infty cos(s x) x^(1-2H)/(1+x^2) dx`` with
+    oscillatory-tail (Filon-type cycle summation) handling.
+
     ``C_Z(0) = 1``; near zero ``1 - C_Z(s) ~ s^(2H)/Gamma(2H+1)``; at
     infinity ``C_Z(s) ~ s^(2H-2)/Gamma(2H-1)``, which is *negative* for
     ``H < 1/2``, and the total integral over the line is zero.
     """
 
-    REPRS = ("TimeDomain", "Spectral")
-
-    def __init__(self, hurst, repr: str = "TimeDomain", quad_tol: float = 1e-9):
-        self.hurst = _hurst_value(hurst)
-        if repr not in self.REPRS:
-            raise ValueError(f"repr must be one of {self.REPRS}; got {repr!r}")
-        if not (quad_tol > 0.0):
-            raise ValueError(f"quad_tol must be positive; got {quad_tol!r}")
-        self.repr = repr
-        self.quad_tol = float(quad_tol)
-
-    # -- time-domain route ----------------------------------------------------
-
-    def _cz_td_scalar(self, s: float) -> float:
-        h = self.hurst
-        b = 2.0 * h + 1.0
-        if s == 0.0:
-            return 1.0
-        if s <= _ASYM_SWITCH_CZ:
-            gb = float(special.gamma(b))
-            term_a = math.exp(s) * float(special.gammaincc(b, s)) * gb
-            term_b = math.exp(-s) * s**b / b * float(special.hyp1f1(b, b + 1.0, s))
-            term_c = math.exp(-s) * gb
-            return (0.5 * (term_a + term_b + term_c) - s ** (2.0 * h)) / gb
-        total = 0.5 * math.exp(-s)
-        for j in range(1, 9):
-            total += s ** (2.0 * h - 2.0 * j) / gamma_reflect(2.0 * h + 1.0 - 2.0 * j)
-        return total
-
-    def _cz_sp_scalar(self, s: float) -> float:
-        h = self.hurst
-        if s == 0.0:
-            return 1.0
-        val, _ = integrate.quad(
-            lambda x: x ** (1.0 - 2.0 * h) / (1.0 + x * x),
-            0.0,
-            np.inf,
-            weight="cos",
-            wvar=s,
-            epsabs=0.1 * self.quad_tol,
-            limlst=200,
-            limit=400,
-        )
-        return 2.0 * math.sin(math.pi * h) / math.pi * float(val)
+    def __init__(self, hurst):
+        self.hurst = h = _hurst_value(hurst)
+        self._gamma_b = float(special.gamma(2.0 * h + 1.0))
+        # the asymptotic series sum_j s^(2H-2j) / Gamma(2H+1-2j), j = 1..8
+        self._series_gammas = [gamma_reflect(2.0 * h + 1.0 - 2.0 * j)
+                               for j in range(1, 9)]
 
     def cov_CZ(self, s):
-        """Normalized covariance ``C_Z(|s|)`` (scalar or array)."""
-        arr = np.asarray(s, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("cov_CZ requires finite s")
-        fn = self._cz_td_scalar if self.repr == "TimeDomain" else self._cz_sp_scalar
-        out = np.array([fn(abs(float(v))) for v in np.atleast_1d(arr).ravel()])
-        out = out.reshape(np.atleast_1d(arr).shape)
-        return out if arr.ndim else float(out[0])
+        """Normalized covariance ``C_Z(|s|)`` (scalar or array, shape kept)."""
+        s = _abs_lags(s)
+        h = self.hurst
+        b = 2.0 * h + 1.0
+        gb = self._gamma_b
+        out = np.ones_like(s)
+        near = (s > 0.0) & (s <= _ASYM_SWITCH_CZ)
+        far = s > _ASYM_SWITCH_CZ
+        if np.any(near):
+            sn = s[near]
+            term_a = np.exp(sn) * special.gammaincc(b, sn) * gb
+            term_b = np.exp(-sn) * sn**b / b * special.hyp1f1(b, b + 1.0, sn)
+            term_c = np.exp(-sn) * gb
+            out[near] = (0.5 * (term_a + term_b + term_c) - sn ** (2.0 * h)) / gb
+        if np.any(far):
+            sf = s[far]
+            total = 0.5 * np.exp(-sf)
+            for j, gamma_j in enumerate(self._series_gammas, start=1):
+                total += sf ** (2.0 * h - 2.0 * j) / gamma_j
+            out[far] = total
+        return out if out.ndim else float(out)
 
+    def cov_CZ_spectral(self, s):
+        """Reference ``C_Z(|s|)`` by oscillatory quadrature of the spectral
+        density, one adaptive ``quad`` per lag (absolute tolerance
+        ``1e-10``); slow, for cross-checks only."""
+        s = _abs_lags(s)
+        h = self.hurst
 
-def cov_CZ(s, ce: CovarianceEval):
-    """Covariance value ``C_Z(s)``; free-function form of :meth:`CovarianceEval.cov_CZ`."""
-    return ce.cov_CZ(s)
+        def one(v: float) -> float:
+            if v == 0.0:
+                return 1.0
+            val, _ = integrate.quad(
+                lambda x: x ** (1.0 - 2.0 * h) / (1.0 + x * x),
+                0.0,
+                np.inf,
+                weight="cos",
+                wvar=v,
+                epsabs=1e-10,
+                limlst=200,
+                limit=400,
+            )
+            return 2.0 * math.sin(math.pi * h) / math.pi * float(val)
+
+        out = np.array([one(float(v)) for v in s.ravel()]).reshape(s.shape)
+        return out if out.ndim else float(out)
 
 
 # -- Gauss--Hermite reference rules -----------------------------------------
@@ -743,6 +729,5 @@ def cz_matrix_cholesky(times, eps: float, ce: CovarianceEval):
     so2 = sigma_ou(ce.hurst) ** 2
     lags = np.abs(times[:, None] - times[None, :]) / eps
     unique, inverse = np.unique(lags.ravel(), return_inverse=True)
-    vals = np.asarray(ce.cov_CZ(unique), dtype=float)
-    cov = so2 * vals[inverse].reshape(lags.shape)
+    cov = so2 * ce.cov_CZ(unique)[inverse].reshape(lags.shape)
     return (cov, *jittered_cholesky(cov))

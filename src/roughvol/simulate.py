@@ -452,22 +452,23 @@ class FactorSampler:
 
 
 def _exact_joint_cov(mp: ModelParams, grid: SimGrid):
-    """Exact covariance of (Z_0..Z_n, dW_0..dW_{n-1}) under the model."""
+    """Exact covariance of (Z_0..Z_n, dW_0..dW_{n-1}) under the model.
+
+    ``Cov(Z_i, dW_j) = sigma_ou sqrt(eps) M_(i-1-j)`` for ``j < i``, with the
+    kernel cell masses ``M`` at the price resolution, and 0 for ``j >= i``.
+    """
     ke = KernelEval(mp.hurst)
     ce = CovarianceEval(mp.hurst)
     n = grid.n_steps
     delta = grid.dt / mp.eps
     so = ke.sigma_ou
-    lags = np.arange(n + 1) * delta
-    cz_vals = so**2 * np.asarray(ce.cov_CZ(lags), dtype=float)
-    i_idx, j_idx = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    cov = np.zeros((2 * n + 1, 2 * n + 1))
-    cov[: n + 1, : n + 1] = cz_vals[np.abs(i_idx - j_idx)]
-    masses = ke.cell_masses(delta, n + 1)
-    cross = np.zeros((n + 1, n))
-    for i in range(n + 1):
-        for j in range(min(i, n)):
-            cross[i, j] = so * math.sqrt(mp.eps) * masses[i - 1 - j]
+    cz_vals = so**2 * ce.cov_CZ(np.arange(n + 1) * delta)
+    nodes = np.arange(n + 1)
+    masses = so * math.sqrt(mp.eps) * ke.cell_masses(delta, n)
+    # entry i - j of (0, M_0, .., M_(n-1)) is Cov(Z_i, dW_j)
+    cross = np.append(0.0, masses)[np.maximum(np.subtract.outer(nodes, nodes[:n]), 0)]
+    cov = np.empty((2 * n + 1, 2 * n + 1))
+    cov[: n + 1, : n + 1] = cz_vals[np.abs(np.subtract.outer(nodes, nodes))]
     cov[: n + 1, n + 1:] = cross
     cov[n + 1:, : n + 1] = cross.T
     cov[n + 1:, n + 1:] = grid.dt * np.eye(n)
@@ -475,26 +476,30 @@ def _exact_joint_cov(mp: ModelParams, grid: SimGrid):
 
 
 def _scheme_joint_cov(mp: ModelParams, grid: SimGrid) -> np.ndarray:
-    """Covariance of (Z_0..Z_n, dW) implied by the moving-average scheme."""
+    """Covariance of (Z_0..Z_n, dW) implied by the moving-average scheme.
+
+    The Gram matrix ``A A^T`` of the scheme's linear map ``A`` from the
+    standardized draws (fine increments, ``r``, ``eta``) to
+    ``(Z_0..Z_n, dW_0..dW_{n-1})``.  Row ``i`` of ``Z`` weighs fine
+    increment ``q`` by ``sigma_ou w_conv[kappa (n_w + i) - 1 - q]`` (0 after
+    ``t_i``) and adds ``sigma_ou r_std`` and ``sigma_ou eta_std[i]`` on its
+    own repair and tail draws; row ``j`` of ``dW`` is the block sum
+    ``sqrt(dt/kappa)`` over the ``kappa`` increments of step ``j``, whose
+    variance is set to exactly ``dt``.
+    """
     sw = FactorSampler(mp, grid)
-    n, n_w, kap = sw.n, sw.n_w, sw.kappa
-    so = sw.sig_ou
-    cov = np.zeros((2 * n + 1, 2 * n + 1))
-    w = sw.w_conv
-    for i in range(n + 1):
-        m = kap * (n_w + i)
-        for j in range(i, n + 1):
-            lag = kap * (j - i)
-            zz = float(np.dot(w[lag: lag + m], w[:m]))
-            if i == j:
-                zz += sw.r_std**2 + sw.eta_std[i] ** 2
-            cov[i, j] = cov[j, i] = so**2 * zz
-    for i in range(n + 1):
-        for j in range(min(i, n)):
-            cell = kap * (i - 1 - j)
-            cov[i, n + 1 + j] = cov[n + 1 + j, i] = (
-                so * math.sqrt(grid.dt / kap) * float(np.sum(w[cell: cell + kap]))
-            )
+    n, n_w, kap, so = sw.n, sw.n_w, sw.kappa, sw.sig_ou
+    nfine = sw.w_conv.size
+    fine = np.arange(nfine)
+    lag = np.subtract.outer(kap * (n_w + np.arange(n + 1)) - 1, fine)
+    weights = np.append(so * sw.w_conv, 0.0)  # entry nfine: no weight
+    a = np.zeros((2 * n + 1, nfine + 2 * (n + 1)))
+    a[: n + 1, :nfine] = weights[np.where(lag >= 0, lag, nfine)]
+    a[: n + 1, nfine: nfine + n + 1] = so * sw.r_std * np.eye(n + 1)
+    a[: n + 1, nfine + n + 1:] = so * np.diag(sw.eta_std)
+    steps = fine // kap - n_w  # price step of each fine increment
+    a[n + 1:, :nfine] = math.sqrt(grid.dt / kap) * (steps == np.arange(n)[:, None])
+    cov = a @ a.T
     cov[n + 1:, n + 1:] = grid.dt * np.eye(n)
     return cov
 

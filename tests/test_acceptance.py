@@ -136,9 +136,8 @@ def test_kernel_normalization_and_covariance_routes():
         assert abs(head + mid + ke.ksq_tail(70.0) - 1.0) < 1e-6
 
         td = CovarianceEval(h)
-        sp = CovarianceEval(h, repr="Spectral")
         for s in (0.01, 1.0, 10.0):  # 5 H values x 3 lags = 15 points
-            assert abs(td.cov_CZ(s) - sp.cov_CZ(s)) < 1e-6
+            assert abs(td.cov_CZ(s) - td.cov_CZ_spectral(s)) < 1e-6
 
         s = 1e-3
         ratio = (1.0 - td.cov_CZ(s)) * math.gamma(2 * h + 1.0) / s ** (2 * h)

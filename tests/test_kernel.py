@@ -15,13 +15,12 @@ from roughvol.kernel import (
     CovarianceEval,
     Hurst,
     KernelEval,
+    _SPLIT_POINT,
     bivariate_expect,
-    cov_CZ,
     cov_RL,
     cz_matrix_cholesky,
     gamma_reflect,
     gaussian_expect,
-    kernel_K,
     sigma_ou,
 )
 from roughvol.gaussfunc import cov_sigma, psi_of_C
@@ -209,15 +208,8 @@ def test_kernel_singular_at_origin():
 
 def test_kernel_split_agreement():
     for h in (0.1, 0.25, 0.4):
-        ke = KernelEval(h, quad_tol=1e-9)
-        assert abs(ke.kernel_small(ke.split_point) - ke.kernel_large(ke.split_point)) < 1e-8
-
-
-def test_kernel_bad_split_rejected():
-    with pytest.raises(ValueError):
-        KernelEval(0.3, split_point=-1.0)
-    with pytest.raises(ValueError):
-        KernelEval(0.3, quad_tol=0.0)
+        ke = KernelEval(h)
+        assert abs(ke.kernel_small(_SPLIT_POINT) - ke.kernel_large(_SPLIT_POINT)) < 1e-8
 
 
 @pytest.mark.parametrize("h", [0.1, 0.25, 0.4])
@@ -238,11 +230,6 @@ def test_kernel_large_time_power_law(h):
     assert ke.kernel_K(t) < 0.0
 
 
-def test_kernel_free_function():
-    ke = KernelEval(0.3)
-    assert kernel_K(1.0, ke) == ke.kernel_K(1.0)
-
-
 def _kernel_oracle(mpmath, h, t):
     """``K(t)`` from the Kummer form in the ambient mpmath precision."""
     a = mpmath.mpf(h) + mpmath.mpf(1) / 2
@@ -256,7 +243,7 @@ def _kernel_oracle(mpmath, h, t):
 def test_kernel_matches_mpmath_oracle(h):
     mpmath = pytest.importorskip("mpmath")
     ke = KernelEval(h)
-    # the fixed-rule range (split_point, 60), ends included, then all routes
+    # the fixed-rule range (1, 60), ends included, then all routes
     # over t in [1e-6, 1e4] with both switch points (t = 1, t = 60) straddled
     mid = np.concatenate((np.geomspace(1.001, 59.9, 25),
                           [np.nextafter(1.0, 2.0), np.nextafter(60.0, 0.0)]))
@@ -390,6 +377,42 @@ def test_cz_time_domain_spots(h):
         assert ce.cov_CZ(s) == pytest.approx(expected, rel=1e-9, abs=1e-14), (h, s)
 
 
+def _cz_oracle(mpmath, h, s):
+    """``C_Z(s)``, ``s > 0``, from the kink-split closed form in the ambient
+    mpmath precision."""
+    h, s = mpmath.mpf(h), mpmath.mpf(s)
+    b = 2 * h + 1
+    gb = mpmath.gamma(b)
+    upper = mpmath.exp(s) * mpmath.gammainc(b, s)
+    lower = mpmath.exp(-s) * s**b / b * mpmath.hyp1f1(b, b + 1, s)
+    return (0.5 * (upper + lower + mpmath.exp(-s) * gb) - s ** (2 * h)) / gb
+
+
+@pytest.mark.parametrize("h", [0.01, 0.1, 0.3, 0.49])
+def test_cz_matches_mpmath_oracle(h):
+    mpmath = pytest.importorskip("mpmath")
+    ce = CovarianceEval(h)
+    # dense lags over [1e-12, 1e4], straddling the series switch at s = 30
+    lags = np.concatenate((np.geomspace(1e-12, 1e4, 161), np.linspace(28.0, 32.0, 41),
+                           [np.nextafter(30.0, 0.0), np.nextafter(30.0, 31.0)]))
+    with mpmath.workdps(40):
+        ref = np.array([float(_cz_oracle(mpmath, h, s)) for s in lags])
+    # the 8-term series is least accurate just past the switch (6e-13 at H 0.3)
+    assert np.max(np.abs(ce.cov_CZ(lags) - ref)) <= 1e-12
+    # negative lags, zero and a 2-D input: |s| symmetry, C_Z(0) = 1, shape kept
+    grid = np.concatenate(([0.0], -lags[:39], lags[:40])).reshape(4, 20)
+    got = ce.cov_CZ(grid)
+    assert got.shape == (4, 20)
+    assert got[0, 0] == 1.0
+    assert np.array_equal(got.ravel()[1:40], ce.cov_CZ(lags[:39]))
+    assert np.array_equal(got.ravel()[40:], ce.cov_CZ(lags[:40]))
+    # a 0-d input returns a float equal to the array route's entry
+    for s in (0.0, -2.5, 30.0, 1e3):
+        one = ce.cov_CZ(np.float64(s))
+        assert type(one) is float
+        assert one == ce.cov_CZ(np.array([s]))[0]
+
+
 def test_cz_zero_and_symmetry():
     ce = CovarianceEval(0.3)
     assert ce.cov_CZ(0.0) == 1.0
@@ -405,15 +428,9 @@ def test_cz_nonfinite_rejected():
 
 def test_cz_representation_agreement():
     for h in (0.1, 0.25, 0.4):
-        td = CovarianceEval(h, repr="TimeDomain")
-        sp = CovarianceEval(h, repr="Spectral")
+        ce = CovarianceEval(h)
         for s in (0.01, 0.1, 1.0, 5.0, 10.0):
-            assert abs(td.cov_CZ(s) - sp.cov_CZ(s)) < 1e-6, (h, s)
-
-
-def test_cz_bad_repr():
-    with pytest.raises(ValueError):
-        CovarianceEval(0.3, repr="fourier")
+            assert abs(ce.cov_CZ(s) - ce.cov_CZ_spectral(s)) < 1e-6, (h, s)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.25, 0.4])
@@ -452,11 +469,6 @@ def test_cz_integrability_cauchy():
     expected_ratio = 2.0 ** (2 * h - 1.0)
     for a, b in zip(incs[:-1], incs[1:]):
         assert b / a == pytest.approx(expected_ratio, rel=0.05)
-
-
-def test_cz_free_function():
-    ce = CovarianceEval(0.3)
-    assert cov_CZ(1.0, ce) == ce.cov_CZ(1.0)
 
 
 def test_gamma_reflect_matches_positive():

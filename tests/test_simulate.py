@@ -315,6 +315,28 @@ def test_cross_covariance_sign_follows_cell_mass():
         assert np.sign(entry) == np.sign(masses[n - 1 - j])
 
 
+def test_scheme_joint_cov_matches_defining_sums():
+    mp = make_model(maturity_T=24 * EPS / 8.0)
+    grid = SimGrid(24, EPS / 8.0, 30 * EPS)
+    cov = _scheme_joint_cov(mp, grid)
+    sw = FactorSampler(mp, grid)
+    n, kap, w, so = sw.n, sw.kappa, sw.w_conv, sw.sig_ou
+    for i, j in ((0, 0), (0, 24), (3, 3), (5, 17), (24, 24)):
+        m, lag = kap * (sw.n_w + i), kap * (j - i)
+        zz = w[lag: lag + m] @ w[:m]
+        if i == j:
+            zz += sw.r_std**2 + sw.eta_std[i] ** 2
+        assert cov[i, j] == pytest.approx(so**2 * zz, rel=1e-13, abs=0.0)
+        assert cov[j, i] == cov[i, j]
+    for i, j in ((1, 0), (7, 2), (24, 0), (24, 23)):
+        cell = kap * (i - 1 - j)
+        want = so * math.sqrt(grid.dt / kap) * np.sum(w[cell: cell + kap])
+        assert cov[i, n + 1 + j] == pytest.approx(want, rel=1e-13, abs=0.0)
+    # Z_i does not see the increments at and after t_i
+    assert cov[0, n + 1] == cov[5, n + 1 + 5] == cov[5, 2 * n] == 0.0
+    assert np.array_equal(cov[n + 1:, n + 1:], grid.dt * np.eye(n))
+
+
 def test_exact_joint_cov_zero_lag_and_symmetry():
     mp = make_model(maturity_T=0.1)
     grid = SimGrid.for_model(mp)
