@@ -395,6 +395,23 @@ def test_fixed_rule_check_passes_below_threshold():
     assert moments(vf, 0.1)[3] == pytest.approx(exact, abs=1e-12)
 
 
+def test_fixed_rule_check_non_analytic_table():
+    # a spline is only C^2, so the rule converges algebraically: on TABULATED's
+    # values at half its knot spacing, <F'> at H 0.05 is off by 1.1e-9 and
+    # <FF'> by 2.2e-10, where the squared gap would read below 1e-15
+    sharp = TabulatedVol([-1.5, -0.75, 0.0, 0.75, 1.5], [0.12, 0.16, 0.2, 0.24, 0.28])
+    with pytest.raises(RuntimeError, match="does not resolve"):
+        moments(sharp, 0.05)
+    with pytest.raises(RuntimeError, match="does not resolve"):
+        mean_FFp(sharp, 0.05)
+    # TABULATED is resolved at the tests' H: |gap|/3 stays below 1e-10
+    for h in (0.1, 0.3):
+        moments(TABULATED, h)
+        mean_FFp(TABULATED, h)
+        psi_of_C(0.5, TABULATED, h)
+        d_bar(TABULATED, KernelEval(h), CovarianceEval(h))
+
+
 # ---------------------------------------------------------------------------
 # psi_of_C (Mehler series) and gaussian_profile (smoothed table)
 
