@@ -329,18 +329,18 @@ _N_TERMS = 1000  # terms of the Mehler series for d_bar and Psi
 _RULE_TOL = 1e-10
 
 
-def _expect(vol_fn: VolFunction, values) -> float:
+def _expect(vol_fn, values) -> float:
     """``E[g(Z)]`` from the values ``g(_Z)`` of a function of ``vol_fn`` on
     the fixed rule.
 
     Raises ``RuntimeError`` if the rule's implied error, from its
     every-other-node half, exceeds ``_RULE_TOL``; the estimate follows
-    ``vol_fn.analytic``.
+    ``vol_fn.analytic`` (a plain callable without it counts as analytic).
     """
     full = float(_W @ values)
     gap = full - 2.0 * float(_W[::2] @ values[::2])
     peak = float(np.max(np.abs(_W * values))) / 0.01
-    if not vol_fn.analytic:
+    if not getattr(vol_fn, "analytic", True):
         implied = abs(gap) / 3.0
     else:
         implied = gap * gap / peak if peak > 0.0 else 0.0
