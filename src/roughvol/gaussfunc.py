@@ -340,10 +340,9 @@ def _expect(vol_fn, values) -> float:
     full = float(_W @ values)
     gap = full - 2.0 * float(_W[::2] @ values[::2])
     peak = float(np.max(np.abs(_W * values))) / 0.01
-    if not getattr(vol_fn, "analytic", True):
-        implied = abs(gap) / 3.0
-    else:
-        implied = gap * gap / peak if peak > 0.0 else 0.0
+    # peak == 0 only where g(_Z) == 0, and then gap == 0
+    analytic = getattr(vol_fn, "analytic", True) and peak > 0.0
+    implied = gap * gap / peak if analytic else abs(gap) / 3.0
     if implied > _RULE_TOL:
         raise RuntimeError(
             "the fixed Gaussian rule does not resolve this vol function: its "

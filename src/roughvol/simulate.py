@@ -462,8 +462,8 @@ def _exact_joint_cov(mp: ModelParams, grid: SimGrid):
     n = grid.n_steps
     delta = grid.dt / mp.eps
     so = ke.sigma_ou
-    cz_vals = so**2 * ce.cov_CZ(np.arange(n + 1) * delta)
     nodes = np.arange(n + 1)
+    cz_vals = so**2 * ce.cov_CZ(nodes * delta)
     masses = so * math.sqrt(mp.eps) * ke.cell_masses(delta, n)
     # entry i - j of (0, M_0, .., M_(n-1)) is Cov(Z_i, dW_j)
     cross = np.append(0.0, masses)[np.maximum(np.subtract.outer(nodes, nodes[:n]), 0)]
