@@ -549,7 +549,8 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     ``|sigma_0 vartheta_0| <= sqrt(eps) sigma_ou ||F||_inf ||FF'||_inf
     int|K|`` is asserted on every path.  With ``t_interior`` set, the
     product is also formed at that time and the lag covariance
-    ``Cov(sigma_0 vartheta_0, sigma_t vartheta_t)/eps`` is reported.
+    ``Cov(sigma_0 vartheta_0, sigma_t vartheta_t)/eps`` is reported;
+    ``t_interior`` must round to a price node strictly inside the grid.
     """
     sampler = FactorSampler(mp, grid)
     _check_se_paths("n_paths", n_paths)
@@ -569,6 +570,9 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
                 f"t_interior must lie in (0, maturity); got {t_interior!r}"
             )
         i_int = round(t_interior / grid.dt)
+        if not 0 < i_int < grid.n_steps:
+            raise ValueError(f"t_interior {t_interior!r} rounds to price node {i_int}; "
+                             f"it must round to an interior node 0 < i < {grid.n_steps}")
 
     sqeps = math.sqrt(mp.eps)
     k_bound = so * vol.sigma_max * g_prime_sup(vol) * ke.abs_integral()

@@ -244,27 +244,25 @@ class TabulatedVol(VolFunction):
                 "table whose spline is strictly increasing"
             )
 
-    def _u(self, z):
+    def _pieces(self, z, inner, left, right):
+        """``inner(z)`` on the knot range; beyond it ``left``/``right`` of the
+        distance ``z - z_end`` to the end knot (the linear continuations)."""
         z = np.asarray(z, dtype=float)
         out = np.empty_like(z)
-        left = z < self._z0
-        right = z > self._z1
-        mid = ~(left | right)
-        out[mid] = self._spline(z[mid])
-        out[left] = self._u0 + self._s0 * (z[left] - self._z0)
-        out[right] = self._u1 + self._s1 * (z[right] - self._z1)
+        lo = z < self._z0
+        hi = z > self._z1
+        mid = ~(lo | hi)
+        out[mid] = inner(z[mid])
+        out[lo] = left(z[lo] - self._z0)
+        out[hi] = right(z[hi] - self._z1)
         return out
 
+    def _u(self, z):
+        return self._pieces(z, self._spline, lambda d: self._u0 + self._s0 * d,
+                            lambda d: self._u1 + self._s1 * d)
+
     def _u_prime(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
-        left = z < self._z0
-        right = z > self._z1
-        mid = ~(left | right)
-        out[mid] = self._du(z[mid])
-        out[left] = self._s0
-        out[right] = self._s1
-        return out
+        return self._pieces(z, self._du, lambda d: self._s0, lambda d: self._s1)
 
     def __call__(self, z):
         p = special.expit(self._u(z))

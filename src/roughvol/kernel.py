@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import integrate, optimize, special
 
 __all__ = [
@@ -80,7 +81,7 @@ _BLOCK = 1 << 17
 
 def _hurst_value(h) -> float:
     """Validate and return a rough-regime Hurst exponent as a plain float."""
-    value = float(h.value) if isinstance(h, Hurst) else float(h)
+    value = float(h)
     if not (0.0 < value < 0.5):
         raise ValueError(
             f"Hurst exponent must lie in the rough regime (0, 1/2); got {value!r}"
@@ -100,12 +101,7 @@ class Hurst:
     value: float
 
     def __post_init__(self):
-        if not (0.0 < float(self.value) < 0.5):
-            raise ValueError(
-                "Hurst exponent must lie in the rough regime (0, 1/2); "
-                f"got {self.value!r}"
-            )
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", _hurst_value(self.value))
 
     def __float__(self) -> float:
         return self.value
@@ -142,14 +138,6 @@ def gamma_reflect(x: float) -> float:
     if x == math.floor(x):
         raise ValueError(f"gamma_reflect undefined at non-positive integer {x!r}")
     return math.pi / (math.sin(math.pi * x) * float(special.gamma(1.0 - x)))
-
-
-def _rising(a: float, k: int) -> float:
-    """Rising factorial (Pochhammer) ``(a)_k``."""
-    out = 1.0
-    for j in range(k):
-        out *= a + j
-    return out
 
 
 class KernelEval:
@@ -254,15 +242,17 @@ class KernelEval:
         bracket = t ** (a - 1.0) * np.exp(-t) - j * t**a / a
         return bracket / self._norm
 
-    def _kernel_asym(self, t):
-        t = np.asarray(t, dtype=float)
+    @functools.cached_property
+    def _asym(self):
+        """``c_k = (1-a)_k`` for ``k = 1.._N_ASYM_TERMS``: the coefficients of
+        ``B(t) ~ -t^(a-1) sum_k c_k t^(-k)``, from which the series of ``IK``
+        and of the ``K^2`` tail follow term by term."""
+        return np.cumprod(np.arange(1, _N_ASYM_TERMS + 1) - self._a)
+
+    def _kernel_asym(self, t: np.ndarray) -> np.ndarray:
+        """``K(t)`` for ``t >= 60`` by the asymptotic series (1-D array ``t``)."""
         a = self._a
-        acc = np.zeros_like(t)
-        term = np.ones_like(t)
-        for k in range(1, _N_ASYM_TERMS + 1):
-            term = term * (k - a) / t
-            acc += term
-        return -(t ** (a - 1.0)) * acc / self._norm
+        return -(t ** (a - 1.0)) * polyval(1.0 / t, np.r_[0.0, self._asym]) / self._norm
 
     def kernel_large(self, t):
         """Large-``t`` route for ``K(t)`` (stable rewriting / asymptotic series)."""
@@ -325,12 +315,8 @@ class KernelEval:
             ) / self._norm
         if np.any(hi):
             th = arr[hi]
-            acc = np.zeros_like(th)
-            term = np.ones_like(th)
-            for k in range(1, _N_ASYM_TERMS + 1):
-                term = term * (k - a) / th
-                acc += term * th**a / (k - a)
-            out[hi] = acc / self._norm
+            coeff = self._asym / (np.arange(1, _N_ASYM_TERMS + 1) - a)
+            out[hi] = th**a * polyval(1.0 / th, np.r_[0.0, coeff]) / self._norm
         return out if out.ndim else float(out)
 
     def cell_masses(self, delta: float, count: int):
@@ -410,18 +396,11 @@ class KernelEval:
         """``int_t^infty K^2`` for ``t >= 60``: the squared asymptotic series
         integrated termwise."""
         a = self._a
-        one_minus_a = 1.0 - a
-        coeff = [_rising(one_minus_a, k) for k in range(1, _N_ASYM_TERMS + 1)]
-        total = np.zeros_like(t)
-        for m in range(2, _N_ASYM_TERMS + 2):
-            c_m = 0.0
-            for k in range(1, m):
-                l = m - k
-                if l < 1 or l > _N_ASYM_TERMS or k > _N_ASYM_TERMS:
-                    continue
-                c_m += coeff[k - 1] * coeff[l - 1]
-            total += c_m * t ** (2.0 * a - 1.0 - m) / (m + 1.0 - 2.0 * a)
-        return total / self._norm**2
+        # d_m = sum_{k+l=m} c_k c_l, kept for m = 2.._N_ASYM_TERMS + 1
+        d = np.convolve(self._asym, self._asym)[:_N_ASYM_TERMS]
+        coeff = d / (np.arange(3, _N_ASYM_TERMS + 3) - 2.0 * a)
+        return (t ** (2.0 * a - 1.0) * polyval(1.0 / t, np.r_[0.0, 0.0, coeff])
+                / self._norm**2)
 
     def ksq_cum(self, t):
         """``int_0^t K(u)^2 du`` (scalar or array; monotone, converging to 1).

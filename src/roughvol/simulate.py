@@ -632,12 +632,9 @@ def dump_paths(mp: ModelParams, grid: SimGrid, bundle: PathBundle,
                 fh.write(f"# {line}\n")
             fh.write(f"# seed = {bundle.seed}\n")
             fh.write("time,Z,sigma,X\n")
-            for i in range(bundle.times.size):
-                fh.write(
-                    "%.17g,%.17g,%.17g,%.17g\n"
-                    % (bundle.times[i], bundle.Z[p, i], bundle.sigma[p, i],
-                       bundle.X[p, i])
-                )
+            np.savetxt(fh, np.column_stack((bundle.times, bundle.Z[p],
+                                            bundle.sigma[p], bundle.X[p])),
+                       fmt="%.17g", delimiter=",")
         written.append(path_file)
     sidecar = os.path.join(out_dir, "paths_meta.json")
     meta = {

@@ -351,6 +351,16 @@ def test_simulate_without_out_dir_is_config_error(capsys):
     assert "dir" in capsys.readouterr().err
 
 
+def test_vartheta_t_interior_at_an_end_node_is_config_error(tmp_path, capsys):
+    path = tmp_path / "end.json"
+    path.write_text(json.dumps({"model": {"eps": 0.04, "maturity_T": 1.0},
+                                "grid": {"points_per_eps": 4},
+                                "study": {"t_interior": 0.996}}))
+    assert cli.main(["study", "vartheta", "--config", str(path),
+                     "--paths", "200"]) == 2
+    assert "interior node" in capsys.readouterr().err
+
+
 # -- study command and emission ----------------------------------------------------
 
 

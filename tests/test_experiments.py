@@ -288,6 +288,25 @@ def test_vartheta_needs_two_paths_for_its_standard_error(n_paths):
         vartheta_check(mp, grid, n_paths=n_paths, seed=0)
 
 
+@pytest.mark.parametrize("t_interior", [0.004, 0.996])
+def test_vartheta_rejects_t_interior_rounding_to_an_end_node(t_interior):
+    # dt = 0.01: 0.004 rounds to node 0 and 0.996 to node n = 100
+    mp = make_model(eps=0.04, maturity_T=1.0)
+    grid = SimGrid.for_model(mp, points_per_eps=4, warmup_mult=24.0)
+    assert (grid.n_steps, grid.dt) == (100, 0.01)
+    with pytest.raises(ValueError, match="interior node"):
+        vartheta_check(mp, grid, n_paths=200, seed=0, t_interior=t_interior)
+
+
+def test_vartheta_t_interior_next_to_the_end_still_works():
+    mp = make_model(eps=0.04, maturity_T=1.0)
+    grid = SimGrid.for_model(mp, points_per_eps=4, warmup_mult=24.0)
+    rep = vartheta_check(mp, grid, n_paths=200, seed=0, t_interior=0.994)
+    assert rep.t_interior == 0.994  # node 99
+    assert np.isfinite(rep.interior_cov_over_eps)
+    assert rep.interior_cov_over_eps != 0.0
+
+
 def test_vartheta_checks_any_grid_under_the_moving_average_rules():
     # the sampler runs the moving-average scheme whatever the grid's label
     mp = make_model(eps=0.05)

@@ -310,6 +310,24 @@ def test_ksq_cum_matches_mpmath_oracle(h):
     assert np.allclose(vec, [ke.ksq_cum(t) for t in sorted(ref)], rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("h", [0.05, 0.3, 0.45])
+def test_ksq_tail_series_matches_mpmath_oracle(h):
+    mpmath = pytest.importorskip("mpmath")
+    ke = KernelEval(h)
+
+    def ksq(u):
+        # the Kummer bracket cancels ~log10(u) digits; carry that many extra
+        with mpmath.extradps(int(mpmath.log10(u)) + 10):
+            return _kernel_oracle(mpmath, h, u) ** 2
+
+    ts = [60.0, 100.0, 1e3, 1e4]
+    with mpmath.workdps(30):
+        ref = [float(mpmath.quad(ksq, [t, 10 * t, mpmath.inf])) for t in ts]
+    for t, expected in zip(ts, ref):
+        assert ke.ksq_tail(t) == pytest.approx(expected, rel=1e-13), t
+    assert np.allclose(ke.ksq_tail(np.array(ts)), ref, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("h", sorted(Q0_ORACLE))
 def test_first_cell_squared_mass(h):
     ke = KernelEval(h)
