@@ -29,6 +29,7 @@ from .gaussfunc import (
     VolFunction,
     cov_sigma,
     d_bar,
+    d_bar_markov,
     group_params,
     moments,
     psi_of_C,
@@ -92,6 +93,7 @@ __all__ = [
     "moments",
     "sigma_bar",
     "d_bar",
+    "d_bar_markov",
     "group_params",
     # pricing
     "Call",

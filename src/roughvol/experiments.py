@@ -364,7 +364,7 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
     kap = samplers[0].kappa
 
     # per-row layout: fine pools for the shared increments on [0, T], then
-    # each sampler's own draws (warmup increments, first-cell repairs, tail)
+    # each sampler's own draws (history normals, first-cell repairs, tail)
     sizes = [kap * n_fine, n_fine] + [w for s in samplers for w in s.widths]
     cuts = np.cumsum(sizes)[:-1]
     blocks = normal_blocks(seed, n_paths, sum(sizes), antithetic=True)
@@ -385,12 +385,10 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
         for idx, (mp, grid, sampler, factor) in enumerate(
             zip(models, grids, samplers, factors)
         ):
-            warm, r, eta = own[3 * idx: 3 * idx + 3]
+            g, r, eta = own[3 * idx: 3 * idx + 3]
             shared_fine = sampler.block_sums(pool_xi, factor)
             zeta = sampler.antithetic(sampler.block_sums(pool_zeta, factor))
-            xi = (np.concatenate([warm, shared_fine], axis=1) if sampler.n_w
-                  else shared_fine)
-            z = sampler.z_from_normals(xi, r, eta, antithetic=True)
+            z = sampler.z_from_normals(g, shared_fine, r, eta, antithetic=True)
             xi_w = sampler.antithetic(sampler.block_sums(shared_fine, kap))
             sigma = mp.vol_fn(z)
             x = sampler.prices(sigma, xi_w, zeta)
@@ -537,8 +535,9 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     """Estimate E[sigma_0 vartheta_0] against its fast-scale limit.
 
     Per path the conditional expectation E[G'(Z_s) | time-0 info] is a
-    one-dimensional Gaussian integral with mean given by the warmup part
-    of the moving average and variance ``sigma_ou^2 int_0^{s/eps} K^2``;
+    one-dimensional Gaussian integral with mean given by the history part
+    of the moving average (drawn through the sampler's history factor on
+    the fine grid) and variance ``sigma_ou^2 int_0^{s/eps} K^2``;
     :func:`roughvol.gaussfunc.gaussian_profile` evaluates it for every path
     and node from one smoothed table of ``G' = FF'``, with a checked error
     below ``1e-7 max|FF'|``.
@@ -556,7 +555,7 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     _check_se_paths("n_paths", n_paths)
     gp = group_params(mp)
     ke = sampler.ke
-    n, n_w, kap = sampler.n, sampler.n_w, sampler.kappa
+    n, kap = sampler.n, sampler.kappa
     n_fine = kap * n
     fine = sampler.delta / kap
     so = sampler.sig_ou
@@ -580,13 +579,16 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     theta_mean = (sqeps * so * mean_FFp(vol, mp.hurst)
                   * ke.integrated_K(mp.maturity_T / mp.eps))
 
-    n_xi = kap * n_w if i_int is None else kap * (n_w + i_int)
+    # per-row layout: the history normals, the fine increments on [0, t_int],
+    # then (r, eta) at node 0 and at t_int
+    n_g = sampler.history_factor(fine=True).shape[0]
+    n_xi = n_g if i_int is None else n_g + kap * i_int
     ncols = n_xi + (2 if i_int is None else 4)
 
     def at_node(block, i, col):
         """``(sigma_i, theta_i)`` per path at price node ``i`` from the
         increments before it; ``col`` is the column of its ``r`` draw."""
-        m = sampler.conditional_means(block[:, : kap * (n_w + i)],
+        m = sampler.conditional_means(block[:, :n_g], block[:, n_g: n_g + kap * i],
                                       fine=True)[:, kap * i:]
         z = m[:, 0] + so * (sampler.r_std * block[:, col]
                             + sampler.eta_std[i] * block[:, col + 1])
@@ -671,8 +673,9 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
 
     The conditional expectation ``E[G(Z_s) | time-0 info]``, with
     ``G = (F^2 - sigma_bar^2)/2``, is Gaussian in the factor with the
-    warmup mean and variance ``sigma_ou^2 int_0^{s/eps} K^2``, and comes
-    from :func:`roughvol.gaussfunc.gaussian_profile` (checked error below
+    history mean (drawn through the sampler's history factor) and
+    variance ``sigma_ou^2 int_0^{s/eps} K^2``, and comes from
+    :func:`roughvol.gaussfunc.gaussian_profile` (checked error below
     ``1e-7 max|G|``).  The second moment must decay like
     ``eps^(2-2H)``; the report carries the fitted log-log slope and the
     (zero-mean) sample means per epsilon.
@@ -692,13 +695,13 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
         grid = SimGrid.for_model(mp, points_per_eps=points_per_eps,
                                  warmup_mult=warmup_mult)
         sampler = FactorSampler(mp, grid)
-        n, n_w, kap = sampler.n, sampler.n_w, sampler.kappa
+        n = sampler.n
         variances = sampler.sig_ou**2 * sampler.ke.ksq_cum_grid(sampler.delta, n)
         trap_w = np.full(n + 1, grid.dt)
         trap_w[0] = trap_w[-1] = 0.5 * grid.dt
         phis = []
         for block in normal_blocks(_stream_seed(seed, stream), n_mc,
-                                   kap * n_w):
+                                   sampler.widths[0]):
             m = sampler.conditional_means(block)
             gprof = gaussian_profile(g_fn, mp.hurst, m, variances)
             phis.append(gprof @ trap_w)

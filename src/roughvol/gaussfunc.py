@@ -49,6 +49,7 @@ __all__ = [
     "mean_FFp",
     "sigma_bar",
     "d_bar",
+    "d_bar_markov",
     "group_params",
     "g_prime_sup",
     "psi_of_C",
@@ -501,6 +502,26 @@ def d_bar(
             "n_terms": _N_TERMS,
         }
     return value
+
+
+def d_bar_markov(vol_fn: VolFunction) -> float:
+    """The ``H -> 1/2`` limit of :func:`d_bar`: the fast mean-reverting
+    Markov coefficient (Fouque, Papanicolaou, Sircar & Solna, *Multiscale
+    Stochastic Volatility*, CUP 2011).
+
+    At ``H = 1/2`` the kernel is ``K(t) = sqrt(2) e^(-t)`` and ``C_Z(s) =
+    e^(-s)``, so ``mu_k = sqrt(2)/(k+1)`` in ``d_bar``'s Mehler series and
+    ``sigma_ou = 1/sqrt(2)`` cancels the ``sqrt(2)``: the limit is
+    ``sum_{k>=1} alpha_k beta_k/(k+1)``, with ``alpha_k`` and ``beta_k``
+    the Hermite coefficients of ``F`` and ``FF'`` at ``sigma_ou =
+    1/sqrt(2)``, projected on the same rule as ``d_bar``.  It is written
+    without the kernel or ``C_Z`` routes, which makes it an independent
+    check of them near the edge of their range.
+    """
+    y = _Z / math.sqrt(2.0)
+    (alpha, _), (beta, _) = _hermite_projection(vol_fn, vol_fn(y), vol_fn.ffp(y))
+    k = np.arange(1, _N_TERMS + 1)
+    return float(np.sum(alpha[1:] * beta[1:] / (k + 1)))
 
 
 def group_params(mp) -> GroupParams:

@@ -47,7 +47,6 @@ __all__ = [
     "sigma_ou",
     "gamma_reflect",
     "cov_RL",
-    "cz_matrix_cholesky",
     "jittered_cholesky",
 ]
 
@@ -690,23 +689,3 @@ def jittered_cholesky(cov: np.ndarray):
     raise RuntimeError(
         "covariance matrix is not positive semidefinite even after jitter 1e-10"
     )
-
-
-def cz_matrix_cholesky(times, eps: float, ce: CovarianceEval):
-    """Covariance matrix ``sigma_ou^2 C_Z((t_i - t_j)/eps)`` and its Cholesky factor.
-
-    The factor comes from :func:`jittered_cholesky`; ``jitter`` is relative
-    to the largest diagonal entry.
-
-    Returns
-    -------
-    (cov, chol, jitter) : (ndarray, ndarray, float)
-    """
-    times = np.asarray(times, dtype=float)
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive; got {eps!r}")
-    so2 = sigma_ou(ce.hurst) ** 2
-    lags = np.abs(times[:, None] - times[None, :]) / eps
-    unique, inverse = np.unique(lags.ravel(), return_inverse=True)
-    cov = so2 * ce.cov_CZ(unique)[inverse].reshape(lags.shape)
-    return (cov, *jittered_cholesky(cov))

@@ -12,27 +12,36 @@ The default scheme discretizes the moving average by kernel cell masses
 on a sub-grid ``delta' = delta/kappa`` four times finer than the price
 grid (``delta = dt/eps``):
 
-    Z_i = sigma_ou [ sum_k (M'_k / sqrt(delta')) xi'_(kappa i - 1 - k)
+    Z_i = sigma_ou [ h_i + sum_k (M'_k / sqrt(delta')) xi'_(kappa i - 1 - k)
                      + r_i + eta_i ],
 
-where ``M'_k`` are the exact fine-cell integrals of ``K`` and ``xi'`` the
-standardized fine Brownian increments; the price increments ``dW_j`` are
-the block sums of the same fine increments, so Cov(Z_i, dW_j) is exact by
-construction.  Oversampling is needed because the kernel is singular at
-the origin: plain cell averages at the price resolution distort the
-short-lag autocovariance of Z by over 1e-2 in correlation units at
-``delta = 1/8``, versus ~2e-3 with ``kappa = 4``.  Two Gaussian repairs
-sharpen the marginals further: ``r_i`` restores the exact nearest-cell
-variance ``int_0^delta' K^2`` (the fine cell average alone loses up to
-tens of percent at small H), and ``eta_i`` compensates the truncated
-pre-warmup history with variance ``int_(warmup+t_i)/eps^inf K^2``.  The
-residual covariance error is measured by :func:`exact_gaussian_check`.
+where ``M'_k`` are the exact fine-cell integrals of ``K``, ``xi'`` the
+standardized fine Brownian increments since ``t = 0``, and ``h_i`` the
+same sum over the ``kappa n_w`` fine increments of the warmup before
+``t = 0``; the price increments ``dW_j`` are the block sums of the fine
+increments, so Cov(Z_i, dW_j) is exact by construction.  Oversampling is
+needed because the kernel is singular at the origin: plain cell averages
+at the price resolution distort the short-lag autocovariance of Z by over
+1e-2 in correlation units at ``delta = 1/8``, versus ~2e-3 with
+``kappa = 4``.  Two Gaussian repairs sharpen the marginals further:
+``r_i`` restores the exact nearest-cell variance ``int_0^delta' K^2``
+(the fine cell average alone loses up to tens of percent at small H), and
+``eta_i`` compensates the truncated pre-warmup history with variance
+``int_(warmup+t_i)/eps^inf K^2``.  The residual covariance error, 7e-4 to
+3e-3 in correlation, is measured by :func:`exact_gaussian_check`.
+
+The warmup increments are not drawn one by one.  They reach ``h_0..h_n``
+through a linear map of numerical rank about 14, so ``h`` is drawn as
+``F^T g``: ``g`` holds that many standard normals per path, and ``F`` is
+a pivoted Cholesky factor of the map's Gram matrix, exact up to a
+residual variance of 1e-16.  The law is the scheme's; the FFT convolves
+only the increments on ``[0, T]``.
 
 The same scheme gives the zero-started factor
 ``Z_t = sigma_ou int_0^t K_eps(t - s) dW_s`` (the Riemann--Liouville
 variant of :func:`simulate_paths_RL` and of ``convergence_study`` with
 ``zero_start=True``): the sum runs over the increments since ``t = 0``
-only, so ``Z_0 = 0`` and there is neither warmup nor ``eta_i``.
+only, so ``Z_0 = 0`` and there is neither history nor ``eta_i``.
 :class:`FactorSampler` holds the scheme for one grid in either mode, and
 :func:`normal_blocks` draws the standard normals every simulator and study
 consumes.
@@ -74,6 +83,9 @@ _BATCH_PATHS = 4096  # internal batch width; fixed so output is independent
 # of how many paths are requested (prefix property) and of any parallelism
 
 _OVERSAMPLE = 4  # fine sub-steps per price step in the moving average
+
+_HISTORY_TOL = 1e-16  # largest residual variance the history factor leaves
+_SLAB_DOUBLES = 1 << 15  # entries of a history slab formed at once (256 kB)
 
 _SCHEMES = ("TruncatedMovingAverage", "CholeskyExact")
 
@@ -285,23 +297,74 @@ def _x_from_vol(mp: ModelParams, dt: float, sigma: np.ndarray,
     return x
 
 
+def _history_factor(w: np.ndarray, n_hist: int, step: int) -> np.ndarray:
+    """Rows ``F`` with ``F^T F = A A^T`` up to a residual variance of
+    ``_HISTORY_TOL`` for the history map ``A[s, j] = w[step s + j]``,
+    ``j < n_hist``: the weight, at node ``s`` (``step s`` fine cells after
+    ``t = 0``), of the fine increment ``j + 1`` cells before ``t = 0``.
+
+    Pivoted Cholesky of ``A A^T`` (Harbrecht, Peters & Schneider, Appl.
+    Numer. Math. 62, 2012): each step takes the node of largest residual
+    variance, and stops once that is at most ``_HISTORY_TOL``.  The columns
+    of ``A A^T`` are elementwise products summed along rows, and ``A`` is
+    a strided view of ``w`` read in slabs, so no BLAS call sets the bits
+    (they do not depend on the thread count) and ``A`` is never held whole.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(w, n_hist)[::step]
+    n_nodes = windows.shape[0]
+    slab = max(1, _SLAB_DOUBLES // max(n_hist, 1))
+
+    def gram_column(v):
+        return np.concatenate([(windows[a: a + slab] * v).sum(axis=1)
+                               for a in range(0, n_nodes, slab)])
+
+    resid = np.concatenate([(windows[a: a + slab] ** 2).sum(axis=1)
+                            for a in range(0, n_nodes, slab)])
+    rows = []
+    for _ in range(n_nodes):
+        p = int(np.argmax(resid))
+        if resid[p] <= _HISTORY_TOL:
+            break
+        col = gram_column(windows[p])
+        for f in rows:
+            col -= f[p] * f
+        f = col / math.sqrt(resid[p])
+        rows.append(f)
+        resid -= f * f
+        resid[p] = 0.0
+    return np.array(rows).reshape(len(rows), n_nodes)
+
+
 class FactorSampler:
     """The moving-average scheme for ``Z`` on one grid.
 
     Built once per ``(mp, grid)``: it validates the grid, precomputes the
-    scheme weights (dimensionless, eps units) and turns standard normal
-    draws into factor values, price increments and prices.  Stationary by
-    default; with ``zero_start=True`` the factor has no history before
-    ``t = 0``, so ``Z_0 = 0``, there are no warmup increments, no tail
-    compensator and no repair draw at ``t = 0``, and the warmup of the grid
-    is neither used nor checked.
+    scheme weights (dimensionless, eps units) and the history factor, and
+    turns standard normal draws into factor values, price increments and
+    prices.  Stationary by default; with ``zero_start=True`` the factor has
+    no history before ``t = 0``, so ``Z_0 = 0``, the history factor has no
+    rows, there is no tail compensator and no repair draw at ``t = 0``, and
+    the warmup of the grid is neither used nor checked.
 
-    The convolution, the block sums and ``Z`` are linear in the draws.
-    For antithetic sampling they are computed on the base rows alone and
-    paired by :meth:`antithetic` before the vol map and the price step;
-    negation is exact and rounding is symmetric in sign, so the output has
-    the bits of computing both rows.  The kernel's spectrum is computed
-    once per input width and kept.
+    The ``kappa n_w`` warmup increments reach the nodes only through the
+    map ``A[s, j] = w_conv[kappa s + j]`` (the fine increment ``j + 1``
+    cells before ``t = 0`` at node ``s``), whose numerical rank is about
+    14.  So they are not drawn: the history part of the moving sum is
+    ``F^T g``, with ``g`` a few standard normals per row and ``F`` the
+    pivoted Cholesky factor of :meth:`history_factor`, which has the
+    covariance ``A A^T`` up to a residual variance of 1e-16 (unit
+    stationary variance).  Only the increments on ``[0, T]`` are
+    convolved, with the lags inside ``[0, T]``.
+
+    The history product, the convolution, the block sums and ``Z`` are
+    linear in the draws, and each row is computed on its own: the history
+    product adds ``F``'s rows one at a time rather than calling BLAS, so
+    the bits of a row depend neither on the other rows of its block nor on
+    the thread count.  For antithetic sampling the linear part runs on the
+    base rows alone and is paired by :meth:`antithetic` before the vol map
+    and the price step; negation is exact and rounding is symmetric in
+    sign, so the output has the bits of computing both rows.  The kernel's
+    spectrum is computed once per input width and kept.
 
     Attributes
     ----------
@@ -314,18 +377,20 @@ class FactorSampler:
     delta : float
         ``dt / eps``.
     w_conv : ndarray
-        ``M'_k / sqrt(delta')`` for the fine cells ``k``.
+        ``M'_k / sqrt(delta')`` for the fine cells ``k`` of the warmup and
+        ``[0, T]``.
     r_std : float
         Std of the nearest-fine-cell variance repair.
     eta_std : ndarray or None
         Std of the pre-warmup tail compensator at ``i = 0..n`` (stationary
         only).
     widths : tuple
-        Per-row column counts of the sampler's own draws: warmup fine
-        increments, repairs ``r`` and tail compensators ``eta``.
+        Per-row column counts of the sampler's own draws: the history
+        normals ``g`` (the rank of the price-grid history factor, 0 when
+        zero-started), the repairs ``r`` and the tail compensators ``eta``.
     ncols : int
-        Columns of a :meth:`bundle` block: the fine increments (warmup,
-        then ``[0, T]``), the orthogonal price shocks, ``r`` and ``eta``.
+        Columns of a :meth:`bundle` block: ``g``, the fine increments on
+        ``[0, T]``, the orthogonal price shocks, ``r`` and ``eta``.
     """
 
     def __init__(self, mp: ModelParams, grid: SimGrid, zero_start: bool = False):
@@ -342,32 +407,69 @@ class FactorSampler:
         self.w_conv = masses / math.sqrt(fine)
         self.r_std = math.sqrt(max(ke.ksq_first_cell(fine) - masses[0] ** 2 / fine,
                                    0.0))
+        self._factors = {}  # fine -> history factor, see history_factor
         if zero_start:
             self.eta_std = None
             self.widths = (0, n, 0)
         else:
             self.eta_std = np.sqrt(ke.ksq_tail((self.n_w + np.arange(n + 1))
                                                * self.delta))
-            self.widths = (kap * self.n_w, n + 1, n + 1)
+            self.widths = (self.history_factor().shape[0], n + 1, n + 1)
         self.ncols = sum(self.widths) + (kap + 1) * n
-        self._spectra = {}  # input width -> (n, rfft(w_conv, n)), see _convolve
+        self._spectra = {}  # input width -> (n, rfft(w_conv[:kappa n], n))
+
+    def history_factor(self, fine: bool = False) -> np.ndarray:
+        """``F`` (one row per history normal, one column per node) with
+        ``F^T F`` the covariance the warmup increments give the moving sum
+        at the price nodes, or with ``fine=True`` at every node of the
+        ``kappa``-times finer sub-grid (no rows when zero-started).  Built
+        on first use and kept."""
+        if fine not in self._factors:
+            self._factors[fine] = _history_factor(
+                self.w_conv, self.kappa * self.n_w, 1 if fine else self.kappa)
+        return self._factors[fine]
 
     def _convolve(self, xi: np.ndarray) -> np.ndarray:
-        """Full convolution of each row of ``xi`` with ``w_conv``.
+        """Full convolution of each row of ``xi`` with ``w_conv[:kappa n]``.
 
         The same transforms, padded length and product as
-        ``signal.fftconvolve(xi, w_conv[None, :], mode="full", axes=1)``,
-        so the same bits, with the kernel's spectrum computed once per
-        input width.
+        ``signal.fftconvolve(xi, w_conv[None, :kappa n], mode="full",
+        axes=1)``, so the same bits, with the kernel's spectrum computed
+        once per input width.
         """
+        w = self.w_conv[: self.kappa * self.n]
         width = xi.shape[1]
-        full = width + self.w_conv.size - 1
+        full = width + w.size - 1
         if width not in self._spectra:
             n = sp_fft.next_fast_len(full, True)
-            self._spectra[width] = n, sp_fft.rfft(self.w_conv, n)
+            self._spectra[width] = n, sp_fft.rfft(w, n)
         n, w_hat = self._spectra[width]
         return sp_fft.irfft(sp_fft.rfft(xi, n, axis=1) * w_hat, n,
                             axis=1)[:, :full]
+
+    def _moving_sum(self, g: np.ndarray, xi: np.ndarray, fine: bool) -> np.ndarray:
+        """The moving sum (in ``sigma_ou`` units, no repairs) at the price
+        nodes or the fine nodes: the history ``F^T g`` plus the first
+        ``xi.shape[1]`` fine increments on ``[0, T]``."""
+        factor = self.history_factor(fine)
+        nodes, rows = factor.shape[1], g.shape[0]
+        # one row of F at a time, in order, not g @ F: a BLAS product can
+        # round a row differently with the row count of the block or the
+        # thread count.  Summed as nodes x rows, a slab of nodes at a time,
+        # so that each product runs along the rows and the slab stays cached.
+        total = np.zeros((nodes, rows))
+        g_t = g.T.copy()
+        span = max(1, _SLAB_DOUBLES // rows)
+        for a in range(0, nodes, span):
+            slab = total[a: a + span]
+            for coef, part in zip(g_t, factor[:, a: a + span]):
+                slab += part[:, None] * coef
+        total = total.T
+        if xi.shape[1]:
+            step = 1 if fine else self.kappa
+            # node s sees the increments before it: entry s - 1 of the sum
+            total[:, 1:] += self._convolve(xi)[:, step - 1: self.kappa * self.n: step]
+        return total
 
     @staticmethod
     def antithetic(a: np.ndarray) -> np.ndarray:
@@ -377,23 +479,23 @@ class FactorSampler:
         np.negative(a, out=out[1::2])
         return out
 
-    def z_from_normals(self, xi: np.ndarray, r: np.ndarray,
-                       eta: np.ndarray, antithetic: bool = False) -> np.ndarray:
+    def z_from_normals(self, g: Optional[np.ndarray], xi: np.ndarray,
+                       r: np.ndarray, eta: Optional[np.ndarray],
+                       antithetic: bool = False) -> np.ndarray:
         """Factor values ``Z_0..Z_n`` (batch rows) from standard normals.
 
-        ``xi`` holds the fine increments (warmup, then ``[0, T]``), ``r``
-        and ``eta`` the repair and tail draws; ``eta`` is ignored when
-        zero-started.  With ``antithetic=True`` the draws are base rows
-        and the result holds each row's antithetic pair.
+        ``g`` holds the history normals, ``xi`` the fine increments on
+        ``[0, T]``, ``r`` and ``eta`` the repair and tail draws; ``g`` and
+        ``eta`` are ignored when zero-started.  With ``antithetic=True``
+        the draws are base rows and the result holds each row's antithetic
+        pair.
         """
         kap, n = self.kappa, self.n
-        conv = self._convolve(xi)
         if self.zero_start:
+            conv = self._convolve(xi)
             z = self.sig_ou * (conv[:, kap - 1: kap * n: kap] + self.r_std * r)
         else:
-            start = kap * self.n_w - 1
-            core = conv[:, start: start + kap * n + 1: kap]
-            z = self.sig_ou * (core + self.r_std * r
+            z = self.sig_ou * (self._moving_sum(g, xi, False) + self.r_std * r
                                + self.eta_std[None, :] * eta)
         if antithetic:
             z = self.antithetic(z)
@@ -402,17 +504,18 @@ class FactorSampler:
             z = np.pad(z, ((0, 0), (1, 0)))
         return z
 
-    def conditional_means(self, warm_xi: np.ndarray,
+    def conditional_means(self, g: np.ndarray, xi: Optional[np.ndarray] = None,
                           fine: bool = False) -> np.ndarray:
-        """E[Z_s | time-0 information] for each path (warmup part of the MA).
+        """E[Z_s | the history before 0 and the increments ``xi`` since 0].
 
-        Evaluated on the price grid, or with ``fine=True`` on every node of
-        the ``kappa``-times finer sub-grid the increments are drawn on.
+        ``g`` holds the history normals (``history_factor(fine).shape[0]``
+        columns) and ``xi`` the first fine increments on ``[0, T]`` (none by
+        default).  Evaluated at the price nodes, or with ``fine=True`` at
+        every node of the ``kappa``-times finer sub-grid.
         """
-        conv = self._convolve(warm_xi)
-        start = self.kappa * self.n_w - 1
-        step = 1 if fine else self.kappa
-        return self.sig_ou * conv[:, start: start + self.kappa * self.n + 1: step]
+        if xi is None:
+            xi = np.empty((g.shape[0], 0))
+        return self.sig_ou * self._moving_sum(g, xi, fine)
 
     @staticmethod
     def block_sums(xi: np.ndarray, m: int) -> np.ndarray:
@@ -436,14 +539,13 @@ class FactorSampler:
         paired before the vol map.
         """
         kap, n, dt = self.kappa, self.n, self.grid.dt
-        nfine = kap * (self.n_w + n)
-        xi, zeta, r, eta = np.split(
-            block, [nfine, nfine + n, nfine + n + self.widths[1]], axis=1)
-        z = self.z_from_normals(xi, r, eta, antithetic)
+        g, xi, zeta, r, eta = np.split(
+            block, np.cumsum((self.widths[0], kap * n, n, self.widths[1])), axis=1)
+        z = self.z_from_normals(g, xi, r, eta, antithetic)
         if decay is not None:
             z += decay
         sigma = self.mp.vol_fn(z)
-        xi_w = self.block_sums(xi[:, kap * self.n_w:], kap)
+        xi_w = self.block_sums(xi, kap)
         if antithetic:
             xi_w, zeta = self.antithetic(xi_w), self.antithetic(zeta)
         x = self.prices(sigma, xi_w, zeta)
@@ -478,27 +580,30 @@ def _exact_joint_cov(mp: ModelParams, grid: SimGrid):
 def _scheme_joint_cov(mp: ModelParams, grid: SimGrid) -> np.ndarray:
     """Covariance of (Z_0..Z_n, dW) implied by the moving-average scheme.
 
-    The Gram matrix ``A A^T`` of the scheme's linear map ``A`` from the
-    standardized draws (fine increments, ``r``, ``eta``) to
-    ``(Z_0..Z_n, dW_0..dW_{n-1})``.  Row ``i`` of ``Z`` weighs fine
-    increment ``q`` by ``sigma_ou w_conv[kappa (n_w + i) - 1 - q]`` (0 after
-    ``t_i``) and adds ``sigma_ou r_std`` and ``sigma_ou eta_std[i]`` on its
-    own repair and tail draws; row ``j`` of ``dW`` is the block sum
-    ``sqrt(dt/kappa)`` over the ``kappa`` increments of step ``j``, whose
-    variance is set to exactly ``dt``.
+    The Gram matrix ``A A^T`` of the linear map ``A`` the sampler applies
+    to its standardized draws (history normals ``g``, fine increments on
+    ``[0, T]``, ``r``, ``eta``) to give ``(Z_0..Z_n, dW_0..dW_{n-1})``.
+    Row ``i`` of ``Z`` weighs ``g`` by ``sigma_ou`` times column ``i`` of
+    the history factor, fine increment ``q`` by ``sigma_ou w_conv[kappa i
+    - 1 - q]`` (0 from ``t_i`` on), and adds ``sigma_ou r_std`` and
+    ``sigma_ou eta_std[i]`` on its own repair and tail draws; row ``j`` of
+    ``dW`` is the block sum ``sqrt(dt/kappa)`` over the ``kappa``
+    increments of step ``j``, whose variance is set to exactly ``dt``.
     """
     sw = FactorSampler(mp, grid)
-    n, n_w, kap, so = sw.n, sw.n_w, sw.kappa, sw.sig_ou
-    nfine = sw.w_conv.size
+    n, kap, so = sw.n, sw.kappa, sw.sig_ou
+    rank, nfine = sw.widths[0], kap * n
     fine = np.arange(nfine)
-    lag = np.subtract.outer(kap * (n_w + np.arange(n + 1)) - 1, fine)
-    weights = np.append(so * sw.w_conv, 0.0)  # entry nfine: no weight
-    a = np.zeros((2 * n + 1, nfine + 2 * (n + 1)))
-    a[: n + 1, :nfine] = weights[np.where(lag >= 0, lag, nfine)]
-    a[: n + 1, nfine: nfine + n + 1] = so * sw.r_std * np.eye(n + 1)
-    a[: n + 1, nfine + n + 1:] = so * np.diag(sw.eta_std)
-    steps = fine // kap - n_w  # price step of each fine increment
-    a[n + 1:, :nfine] = math.sqrt(grid.dt / kap) * (steps == np.arange(n)[:, None])
+    lag = np.subtract.outer(kap * np.arange(n + 1) - 1, fine)
+    weights = np.append(so * sw.w_conv[:nfine], 0.0)  # entry nfine: no weight
+    a = np.zeros((2 * n + 1, rank + nfine + 2 * (n + 1)))
+    a[: n + 1, :rank] = so * sw.history_factor().T
+    a[: n + 1, rank: rank + nfine] = weights[np.where(lag >= 0, lag, nfine)]
+    cols = rank + nfine
+    a[: n + 1, cols: cols + n + 1] = so * sw.r_std * np.eye(n + 1)
+    a[: n + 1, cols + n + 1:] = so * np.diag(sw.eta_std)
+    a[n + 1:, rank: rank + nfine] = (math.sqrt(grid.dt / kap)
+                                     * (fine // kap == np.arange(n)[:, None]))
     cov = a @ a.T
     cov[n + 1:, n + 1:] = grid.dt * np.eye(n)
     return cov

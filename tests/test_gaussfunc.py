@@ -14,6 +14,7 @@ from roughvol.gaussfunc import (
     GroupParams,
     TabulatedVol,
     d_bar,
+    d_bar_markov,
     g_prime_sup,
     gaussian_profile,
     group_params,
@@ -329,6 +330,19 @@ def test_d_bar_validation_and_diagnostics():
     assert abs(diag["tail_estimate"]) <= diag["tail_bound"]
     assert 0.0 < diag["truncation_bound"] < 1e-7 * vf.sigma_max**3 - diag["tail_bound"]
     assert diag["n_terms"] == 1000
+
+
+def test_d_bar_approaches_the_markov_limit_linearly():
+    # at H = 1/2 the factor is an OU process and d_bar is the Markov
+    # coefficient; the gap closes linearly in 1/2 - H (slope about -2.0 here)
+    vf = BoundedSigmoid(0.05, 0.85, 3.5)
+    limit = d_bar_markov(vf)
+    assert limit == pytest.approx(6.28549e-3, rel=1e-5)
+    for gap in (1e-2, 1e-3, 1e-4):
+        hurst = 0.5 - gap
+        rel = d_bar(vf, KernelEval(hurst), CovarianceEval(hurst)) / limit - 1.0
+        assert -2.1 < rel / gap < -1.95
+    assert d_bar_markov(ConstantVol(0.2)) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from roughvol.kernel import (
     _SPLIT_POINT,
     bivariate_expect,
     cov_RL,
-    cz_matrix_cholesky,
     gamma_reflect,
     gaussian_expect,
+    jittered_cholesky,
     sigma_ou,
 )
 from roughvol.gaussfunc import cov_sigma, psi_of_C
@@ -495,6 +495,17 @@ def test_gamma_reflect_matches_positive():
     assert gamma_reflect(-0.4) < 0.0
     with pytest.raises(ValueError):
         gamma_reflect(-1.0)
+
+
+def cz_matrix_cholesky(times, eps: float, ce: CovarianceEval):
+    """Covariance matrix ``sigma_ou^2 C_Z((t_i - t_j)/eps)`` with its
+    jittered Cholesky factor and the jitter, relative to the largest
+    diagonal entry."""
+    so2 = sigma_ou(ce.hurst) ** 2
+    lags = np.abs(times[:, None] - times[None, :]) / eps
+    unique, inverse = np.unique(lags.ravel(), return_inverse=True)
+    cov = so2 * ce.cov_CZ(unique)[inverse].reshape(lags.shape)
+    return (cov, *jittered_cholesky(cov))
 
 
 def test_psd_cholesky_512_grid():

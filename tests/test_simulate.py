@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import signal
 
+import roughvol
 from roughvol.gaussfunc import BoundedSigmoid
 from roughvol.kernel import CovarianceEval, KernelEval, cov_RL
 from roughvol.simulate import (
@@ -429,30 +433,34 @@ def test_rl_validation():
 
 @pytest.mark.parametrize("zero_start", [False, True])
 def test_factor_matches_direct_moving_sum(zero_start):
-    # Z_i = sig_ou [sum_k w_k xi_(kappa i - 1 - k) + r_std r_i + eta_std_i eta_i],
-    # with i counted from the start of the drawn history, summed term by term
-    # from the documented column layout of one simulate_paths block
+    # Z_i = sig_ou [sum_k F_ki g_k + sum_k w_k xi_(kappa i - 1 - k) + r_std r_i
+    #               + eta_std_i eta_i], with xi the fine increments since t = 0,
+    # summed term by term from the documented column layout of one
+    # simulate_paths block
     mp = make_model(maturity_T=0.05)
     grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=20.0)
     s = FactorSampler(mp, grid, zero_start)
-    n, kap = s.n, s.kappa
+    n, kap, rank = s.n, s.kappa, s.widths[0]
     block = next(normal_blocks(3, 6, s.ncols))
     if zero_start:
         z = next(simulate_paths_RL(mp, grid, 0.0, 6, seed=3)).Z
+        assert rank == 0
     else:
         z = next(simulate_paths(mp, grid, 6, seed=3)).Z
-    nfine = kap * (s.n_w + n)
-    xi = block[:, :nfine]
-    r = block[:, nfine + n: nfine + n + s.widths[1]]
-    eta = block[:, nfine + n + s.widths[1]:]
+        factor = s.history_factor()
+        assert factor.shape == (rank, n + 1) and 8 <= rank <= 20
+    g = block[:, :rank]
+    xi = block[:, rank: rank + kap * n]
+    r = block[:, rank + kap * n + n: rank + kap * n + n + s.widths[1]]
+    eta = block[:, rank + kap * n + n + s.widths[1]:]
     assert eta.shape[1] == s.widths[2] == (0 if zero_start else n + 1)
     for p in range(block.shape[0]):
         for i in range(n + 1):
-            terms = [s.w_conv[k] * xi[p, kap * (s.n_w + i) - 1 - k]
-                     for k in range(kap * (s.n_w + i))]
+            terms = [s.w_conv[k] * xi[p, kap * i - 1 - k] for k in range(kap * i)]
             if zero_start:
                 terms += [s.r_std * r[p, i - 1]] if i else []
             else:
+                terms += [factor[k, i] * g[p, k] for k in range(rank)]
                 terms += [s.r_std * r[p, i], s.eta_std[i] * eta[p, i]]
             oracle = s.sig_ou * math.fsum(terms)
             scale = s.sig_ou * sum(abs(t) for t in terms)
@@ -479,15 +487,16 @@ def test_convolve_matches_fftconvolve(zero_start):
     s = FactorSampler(mp, SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0),
                       zero_start)
     kap = s.kappa
-    # the widths the sampler is given: the warmup (conditional means), the
-    # history up to an interior time (vartheta_check) and a whole block
-    widths = ({kap * s.n} if zero_start else
-              {kap * s.n_w, kap * (s.n_w + s.n // 2), kap * (s.n_w + s.n)})
+    # the widths the sampler is given: the increments on [0, T] (a block)
+    # and, stationary only, those up to an interior time (vartheta_check);
+    # the history before t = 0 goes through the history factor instead
+    widths = {kap * s.n} if zero_start else {kap * (s.n // 2), kap * s.n}
     rng = np.random.default_rng(1)
     for width in sorted(widths):
         for rows in (1, 7, 64):
             xi = rng.standard_normal((rows, width))
-            ref = signal.fftconvolve(xi, s.w_conv[None, :], mode="full", axes=1)
+            ref = signal.fftconvolve(xi, s.w_conv[None, : kap * s.n], mode="full",
+                                     axes=1)
             assert s._convolve(xi).tobytes() == ref.tobytes()
     assert sorted(s._spectra) == sorted(widths)
 
@@ -535,10 +544,73 @@ def test_zero_start_factor_of_base_rows_keeps_positive_zero():
     assert base.shape == (7, s.ncols)
     nfine = s.kappa * s.n
     xi, r = base[:, :nfine], base[:, nfine + s.n:]
-    paired = s.z_from_normals(xi, r, None, antithetic=True)
-    ref = s.z_from_normals(s.antithetic(xi), s.antithetic(r), None)
+    paired = s.z_from_normals(None, xi, r, None, antithetic=True)
+    ref = s.z_from_normals(None, s.antithetic(xi), s.antithetic(r), None)
     assert paired.tobytes() == ref.tobytes()
     assert not np.signbit(paired[:, 0]).any()
+
+
+@pytest.fixture(scope="module")
+def prefix_runs():
+    mp = make_model()
+    grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0)
+    cache = {}
+
+    def run(route, n_paths):
+        if (route, n_paths) not in cache:
+            if route == "rl":
+                stream = simulate_paths_RL(mp, grid, 0.4, n_paths, 8, antithetic=True)
+            else:
+                stream = simulate_paths(mp, grid, n_paths, 8,
+                                        antithetic=route == "antithetic")
+            cache[route, n_paths] = concat_bundles(stream)
+        return cache[route, n_paths]
+
+    return run
+
+
+@pytest.mark.parametrize("route, n_paths", [
+    *((route, n) for route in ("antithetic", "rl") for n in (4098, 4100, 4102)),
+    *(("plain", n) for n in (4097, 4098, 4099, 4100, 4102)),
+])
+def test_prefix_on_a_last_batch_of_few_rows(route, n_paths, prefix_runs):
+    # the last batch holds 1-3 base rows (1-6 rows on the plain route), where
+    # a BLAS product can round a row differently than in a full block
+    head = prefix_runs(route, n_paths)
+    full = prefix_runs(route, 8192)
+    for name in ("dW", "dB", "Z", "sigma", "X"):
+        assert (getattr(head, name).tobytes()
+                == getattr(full, name)[:n_paths].tobytes()), name
+
+
+_THREAD_SCRIPT = """
+from hashlib import sha256
+from roughvol.gaussfunc import BoundedSigmoid
+from roughvol.simulate import (FactorSampler, ModelParams, SimGrid, concat_bundles,
+                               simulate_paths)
+mp = ModelParams(0.1, 0.05, -0.5, BoundedSigmoid(0.05, 0.45, 2.5), 1.0, 1.0)
+grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0)
+b = concat_bundles(simulate_paths(mp, grid, 4100, 6, antithetic=True))
+fine = FactorSampler(mp, grid).history_factor(fine=True)
+print(*(sha256(a.tobytes()).hexdigest() for a in (b.Z, b.X, fine)))
+"""
+
+
+def test_paths_do_not_depend_on_the_thread_count():
+    # two batches, and the fine-grid history factor of vartheta_check (a
+    # 641 x 960 map, where an SVD gave different bits), under a BLAS/OpenMP
+    # pool of 1 and of 2 threads
+    src = os.path.dirname(os.path.dirname(roughvol.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "ROUGHVOL_THREADS"}
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
 
 
 def test_few_path_batch_draws_only_its_rows():
