@@ -58,6 +58,7 @@ for lag_cols, lag_fast in ((8, 1.0), (40, 5.0)):
 small = replace(mp, maturity_T=0.25)
 rep = exact_gaussian_check(small, SimGrid.for_model(small, 8, 30.0))
 print(f"max |corr(scheme) - corr(exact)| = {rep.max_abs_corr_diff:.2e}")
+print(f"max |Var_scheme(Z) / Var_exact(Z) - 1| = {rep.max_rel_var_diff:.2e}")
 print()
 
 # -- Monte Carlo price vs corrected price ----------------------------------------------

@@ -336,6 +336,19 @@ def _q_of_x(x: np.ndarray, mp: ModelParams, gp: GroupParams, payoff,
     return q0 + math.sqrt(mp.eps) * mp.rho * tau * gp.d_bar * d12
 
 
+def _conditional_price(mp: ModelParams, svar, sxw, payoff) -> np.ndarray:
+    """``E[payoff(X_T) | sigma, W]`` per path, from ``svar = int_0^T sigma^2
+    dt`` and ``sxw = int_0^T sigma dW`` (arrays or scalars): ``X_T`` is then
+    ``x0 exp(rho sxw - rho^2 svar / 2)`` times a lognormal orthogonal shock
+    of variance ``(1 - rho^2) svar``, which the Black--Scholes price
+    integrates out (Romano & Touzi, Math. Finance 7, 1997)."""
+    svar, sxw = np.broadcast_arrays(svar, sxw)
+    t = mp.maturity_T
+    x_eff = mp.x0 * np.exp(mp.rho * sxw - 0.5 * mp.rho**2 * svar)
+    return pricing.bs_price_pathwise(
+        x_eff, payoff, math.sqrt(1.0 - mp.rho**2) * np.sqrt(svar / t), t)
+
+
 def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
                       n_paths: int = N_PATHS_PRICING, seed: int = 0,
                       points_per_eps: int = 4, warmup_mult: float = 24.0,
@@ -346,12 +359,11 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
     with the first-order corrected price; all epsilons share the Brownian
     increments on [0, T] through block sums of one common fine-grid pool
     (common random numbers), which stabilizes the scaled-error ordering.
-    The estimator conditions on the volatility-side draws (pricing the
-    resulting lognormal law in closed form, so the orthogonal price shocks
-    are integrated out) and subtracts the constant-``sigma_bar`` conditional
-    price as a control variate centred on the same quadrature value as
-    ``q0``.  A point whose error is within twice its standard error is
-    flagged ``inconclusive`` rather than silently counted as converged.
+    The estimator is the :func:`_conditional_price` of each path less that
+    of constant ``sigma_bar``, a control variate centred on the same
+    quadrature value as ``q0``.  A point whose error is within twice its
+    standard error is flagged ``inconclusive`` rather than silently counted
+    as converged.
 
     With ``zero_start=True`` the factor is started at zero (the
     no-prehistory variant) instead of stationarily.
@@ -371,11 +383,8 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
     _check_se_paths("n_paths", n_paths, antithetic=True)
     gp = group_params(mp_base)
 
-    bs_center = float(pricing.bs_price(
-        mp_base.x0, payoff, gp.sigma_bar, mp_base.maturity_T
-    ))
-    rho_c = math.sqrt(1.0 - mp_base.rho**2)
-    t_mat = mp_base.maturity_T
+    bs_center = float(pricing.bs_price(mp_base.x0, payoff, gp.sigma_bar,
+                                       mp_base.maturity_T))
 
     pair_units = [[] for _ in eps]       # pair means of the CV-adjusted payoff
     interior_units = [[] for _ in eps]   # pair means of h(X_T) - Q_{T/2}(X_{T/2})
@@ -386,33 +395,19 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
             zip(models, grids, samplers, factors)
         ):
             g, r, eta = own[3 * idx: 3 * idx + 3]
-            shared_fine = sampler.block_sums(pool_xi, factor)
-            zeta = sampler.antithetic(sampler.block_sums(pool_zeta, factor))
-            z = sampler.z_from_normals(g, shared_fine, r, eta, antithetic=True)
-            xi_w = sampler.antithetic(sampler.block_sums(shared_fine, kap))
-            sigma = mp.vol_fn(z)
-            x = sampler.prices(sigma, xi_w, zeta)
+            _, sigma, xi_w, _, x = sampler.paths(
+                g, sampler.block_sums(pool_xi, factor),
+                sampler.block_sums(pool_zeta, factor), r, eta, antithetic=True)
             hx = np.asarray(payoff(x[:, -1]), dtype=float)
-            # conditionally on the volatility-side draws, X_T is lognormal:
-            # price that law in closed form (integrating out the orthogonal
-            # price shocks), then control-variate with the constant-sigma_bar
-            # conditional price whose expectation is the bs_price centre.
+            # the conditional price of the vol path, control-variated by
+            # that of constant sigma_bar, whose expectation is bs_center
             sig = sigma[:, :-1]
-            svar = (sig * sig).sum(axis=1) * grid.dt
-            sxw = (sig * xi_w).sum(axis=1) * math.sqrt(grid.dt)
-            x_eff = mp.x0 * np.exp(mp.rho * sxw - 0.5 * mp.rho**2 * svar)
-            cond = pricing.bs_price_pathwise(
-                x_eff, payoff, rho_c * np.sqrt(svar / t_mat), t_mat
-            )
-            w_term = xi_w.sum(axis=1) * math.sqrt(grid.dt)
-            x_eff0 = mp.x0 * np.exp(
-                mp.rho * gp.sigma_bar * w_term
-                - 0.5 * mp.rho**2 * gp.sigma_bar**2 * t_mat
-            )
-            cond0 = pricing.bs_price_pathwise(
-                x_eff0, payoff,
-                np.full(x_eff0.shape, rho_c * gp.sigma_bar), t_mat
-            )
+            cond = _conditional_price(
+                mp, (sig * sig).sum(axis=1) * grid.dt,
+                (sig * xi_w).sum(axis=1) * math.sqrt(grid.dt), payoff)
+            cond0 = _conditional_price(
+                mp, gp.sigma_bar**2 * mp.maturity_T,
+                gp.sigma_bar * (xi_w.sum(axis=1) * math.sqrt(grid.dt)), payoff)
             units = cond - cond0 + bs_center
             qmid = _q_of_x(x[:, grid.n_steps // 2], mp, gp, payoff,
                            0.5 * mp.maturity_T)

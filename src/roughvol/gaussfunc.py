@@ -429,10 +429,9 @@ def d_bar(
         d_bar = sigma_ou (sum_{k=1}^{N} alpha_k beta_k mu_k + tail),
 
     with ``N = 1000`` and ``mu_k = int_0^s_max C_Z^k K ds`` from a running
-    power of ``C_Z`` on fixed Gauss--Legendre panels: in ``w = s^(H+1/2)``
-    on ``[0, 1]`` (flattening the ``s^(H-1/2)`` kernel singularity, graded
-    toward ``w = 0`` for the ``s^(2H)`` correlation cusp) and graded
-    geometrically on ``[1, s_max]``.  ``tail`` is the linearized integral
+    power of ``C_Z`` on the kernel-weighted rule ``ke.kernel_rule(s_max)``
+    (graded toward ``s = 0`` for the ``s^(2H)`` correlation cusp).
+    ``tail`` is the linearized integral
     beyond ``s_max`` (the exact slope ``Lambda'(0) = alpha_1 beta_1`` times
     the asymptotic powers of ``C_Z`` and ``K``), bounded by twice its
     magnitude.  By Cauchy--Schwarz the truncation after ``N`` terms is
@@ -450,24 +449,12 @@ def d_bar(
         raise ValueError(f"s_max must be >= 50; got {s_max!r}")
     h = ke.hurst
     so = ke.sigma_ou
-    a = h + 0.5
 
     (alpha, rem_alpha), (beta, rem_beta) = _hermite_projection(
         vol_fn, vol_fn(so * _Z), vol_fn.ffp(so * _Z))
     coef = (alpha * beta).tolist()
 
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    w_edges = np.concatenate(([0.0], np.geomspace(1e-10, 1.0, 41)))
-    w_half = 0.5 * (w_edges[1:] - w_edges[:-1])
-    wn = (0.5 * (w_edges[1:] + w_edges[:-1]))[:, None] + w_half[:, None] * nodes
-    jac = (1.0 / a) * wn ** (1.0 / a - 1.0)
-    edges = np.exp(np.linspace(0.0, math.log(s_max), 61))
-    half = 0.5 * (edges[1:] - edges[:-1])
-    sn = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * nodes
-    # the kernel and the correlation at all outer nodes in one call each
-    s_all = np.concatenate(((wn ** (1.0 / a)).ravel(), sn.ravel()))
-    wk = np.concatenate(((w_half[:, None] * weights * jac).ravel(),
-                         (half[:, None] * weights).ravel())) * ke.kernel_K(s_all)
+    s_all, wk = ke.kernel_rule(s_max)
     c = ce.cov_CZ(s_all)
     total = 0.0
     c_pow = np.ones_like(c)

@@ -290,6 +290,29 @@ class KernelEval:
             out[~small] = self.kernel_large(arr[~small])
         return out if out.ndim else float(out)
 
+    def kernel_rule(self, upper: float):
+        """Nodes ``s`` and weights ``wk`` with ``wk @ f(s) ~ int_0^upper f K``.
+
+        20-node Gauss--Legendre panels in ``w = s^a`` on ``[0, min(upper,
+        1)]``, which flattens the ``s^(a-1)`` of ``K``, graded toward
+        ``w = 0`` for a cusp of ``f`` such as the ``s^(2H)`` of ``C_Z``;
+        then 60 geometric panels on ``[1, upper]``."""
+        a = self._a
+        x, wt = np.polynomial.legendre.leggauss(20)
+        w_edges = (np.concatenate(([0.0], np.geomspace(1e-10, 1.0, 41)))
+                   * min(upper, 1.0) ** a)
+        w_half = 0.5 * (w_edges[1:] - w_edges[:-1])
+        wn = (0.5 * (w_edges[1:] + w_edges[:-1]))[:, None] + w_half[:, None] * x
+        jac = (1.0 / a) * wn ** (1.0 / a - 1.0)
+        nodes, weights = [wn ** (1.0 / a)], [w_half[:, None] * wt * jac]
+        if upper > 1.0:
+            edges = np.exp(np.linspace(0.0, math.log(upper), 61))
+            half = 0.5 * (edges[1:] - edges[:-1])
+            nodes.append((0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x)
+            weights.append(half[:, None] * wt)
+        s = np.concatenate([v.ravel() for v in nodes])
+        return s, np.concatenate([v.ravel() for v in weights]) * self.kernel_K(s)
+
     # -- integrated kernel -------------------------------------------------
 
     def integrated_K(self, t):
@@ -631,9 +654,9 @@ def cov_RL(t: float, s: float, ke: KernelEval) -> float:
     """Normalized covariance of the zero-started (Riemann--Liouville) factor.
 
     ``C0_t(s) = int_0^t K(u) K(u+s) du`` (the normalizing
-    ``int_0^infty K^2`` equals 1).  Converges monotonically to ``C_Z(s)``
-    as ``t`` grows; the transient is what distinguishes the zero-started
-    factor from the stationary one.
+    ``int_0^infty K^2`` equals 1), on :meth:`KernelEval.kernel_rule`.
+    Converges monotonically to ``C_Z(s)`` as ``t`` grows; the transient is
+    what distinguishes the zero-started factor from the stationary one.
     """
     t = float(t)
     s = float(s)
@@ -643,29 +666,8 @@ def cov_RL(t: float, s: float, ke: KernelEval) -> float:
         return 0.0
     if s == 0.0:
         return ke.ksq_cum(t)
-
-    a = ke._a
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    # [0, min(t, 1)] in w = u^a, which flattens the u^(a-1) origin
-    # singularity, then [1, t] on geometric panels; all nodes in one array
-    w_edges = np.linspace(0.0, min(t, 1.0) ** a, 17)
-    w_half = 0.5 * (w_edges[1:] - w_edges[:-1])
-    wn = (0.5 * (w_edges[1:] + w_edges[:-1]))[:, None] + w_half[:, None] * nodes
-    parts = [(wn ** (1.0 / a), w_half, (1.0 / a) * wn ** (1.0 / a - 1.0))]
-    if t > 1.0:
-        edges = np.exp(np.linspace(0.0, math.log(t), 33))
-        half = 0.5 * (edges[1:] - edges[:-1])
-        un = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * nodes
-        parts.append((un, half, 1.0))
-    u = np.concatenate([p[0].ravel() for p in parts])
-    vals = ke.kernel_K(u) * ke.kernel_K(u + s)
-    out = 0.0
-    start = 0
-    for un, half, jac in parts:
-        panel = (vals[start: start + un.size].reshape(un.shape) * jac) @ weights
-        out += float(np.dot(half, panel))
-        start += un.size
-    return out
+    u, wk = ke.kernel_rule(t)
+    return float(wk @ ke.kernel_K(u + s))
 
 
 def jittered_cholesky(cov: np.ndarray):

@@ -40,11 +40,12 @@ only the increments on ``[0, T]``.
 The same scheme gives the zero-started factor
 ``Z_t = sigma_ou int_0^t K_eps(t - s) dW_s`` (the Riemann--Liouville
 variant of :func:`simulate_paths_RL` and of ``convergence_study`` with
-``zero_start=True``): the sum runs over the increments since ``t = 0``
-only, so ``Z_0 = 0`` and there is neither history nor ``eta_i``.
-:class:`FactorSampler` holds the scheme for one grid in either mode, and
-:func:`normal_blocks` draws the standard normals every simulator and study
-consumes.
+``zero_start=True``): a history of rank 0.  The sum runs over the
+increments since ``t = 0`` only, so ``Z_0 = 0`` and there is no
+``eta_i``.  :class:`FactorSampler` holds the scheme for one grid in either
+mode, and its :meth:`~FactorSampler.paths` is the one route from standard
+normals to ``(Z, sigma, X)``; :func:`normal_blocks` draws the standard
+normals every simulator and study consumes.
 
 The price update is the exact lognormal step for piecewise-constant
 volatility, so convergence studies isolate the volatility approximation.
@@ -207,12 +208,15 @@ class ExactGaussianReport:
     ``max_abs_corr_diff`` is the largest absolute entrywise difference
     between the correlation matrices of the stacked Gaussian vector
     ``(Z_0..Z_n, dW_0..dW_{n-1})`` under the scheme and under the exact
-    law; ``zero_offset_value`` is the exact ``Var(Z_t)`` recovered from the
-    covariance builder (equals ``sigma_ou^2``); ``jitter`` is the diagonal
-    boost the exact Cholesky factorization required.
+    law, blind to variance errors, which ``max_rel_var_diff`` measures:
+    ``max_i |Var_scheme(Z_i) / Var_exact(Z_i) - 1|``.  ``zero_offset_value``
+    is the exact ``Var(Z_t)`` recovered from the covariance builder (equals
+    ``sigma_ou^2``); ``jitter`` is the diagonal boost the exact Cholesky
+    factorization required.
     """
 
     max_abs_corr_diff: float
+    max_rel_var_diff: float
     zero_offset_value: float
     jitter: float
     n_steps: int
@@ -341,10 +345,12 @@ class FactorSampler:
     Built once per ``(mp, grid)``: it validates the grid, precomputes the
     scheme weights (dimensionless, eps units) and the history factor, and
     turns standard normal draws into factor values, price increments and
-    prices.  Stationary by default; with ``zero_start=True`` the factor has
-    no history before ``t = 0``, so ``Z_0 = 0``, the history factor has no
-    rows, there is no tail compensator and no repair draw at ``t = 0``, and
-    the warmup of the grid is neither used nor checked.
+    prices through :meth:`paths` (:meth:`bundle` wraps it for one block of
+    draws).  Stationary by default; with ``zero_start=True`` the factor has
+    no history before ``t = 0``: it is the same scheme with a history
+    factor of rank 0 (no rows), so ``Z_0 = 0``, there is no tail
+    compensator and no repair draw at ``t = 0``, and the warmup of the grid
+    is neither used nor checked.
 
     The ``kappa n_w`` warmup increments reach the nodes only through the
     map ``A[s, j] = w_conv[kappa s + j]`` (the fine increment ``j + 1``
@@ -452,18 +458,19 @@ class FactorSampler:
         nodes or the fine nodes: the history ``F^T g`` plus the first
         ``xi.shape[1]`` fine increments on ``[0, T]``."""
         factor = self.history_factor(fine)
-        nodes, rows = factor.shape[1], g.shape[0]
-        # one row of F at a time, in order, not g @ F: a BLAS product can
-        # round a row differently with the row count of the block or the
-        # thread count.  Summed as nodes x rows, a slab of nodes at a time,
-        # so that each product runs along the rows and the slab stays cached.
+        nodes, rows = factor.shape[1], xi.shape[0]
         total = np.zeros((nodes, rows))
-        g_t = g.T.copy()
-        span = max(1, _SLAB_DOUBLES // rows)
-        for a in range(0, nodes, span):
-            slab = total[a: a + span]
-            for coef, part in zip(g_t, factor[:, a: a + span]):
-                slab += part[:, None] * coef
+        if factor.shape[0]:  # none when zero-started
+            # one row of F at a time, not g @ F, whose BLAS rounding can
+            # vary with the block's row count or the thread count.  Summed
+            # as nodes x rows, a slab of nodes at a time, so each product
+            # runs along the rows and the slab stays cached.
+            g_t = g.T.copy()
+            span = max(1, _SLAB_DOUBLES // rows)
+            for a in range(0, nodes, span):
+                slab = total[a: a + span]
+                for coef, part in zip(g_t, factor[:, a: a + span]):
+                    slab += part[:, None] * coef
         total = total.T
         if xi.shape[1]:
             step = 1 if fine else self.kappa
@@ -486,22 +493,22 @@ class FactorSampler:
 
         ``g`` holds the history normals, ``xi`` the fine increments on
         ``[0, T]``, ``r`` and ``eta`` the repair and tail draws; ``g`` and
-        ``eta`` are ignored when zero-started.  With ``antithetic=True``
-        the draws are base rows and the result holds each row's antithetic
-        pair.
+        ``eta`` are ignored when zero-started.  The repairs go on the last
+        ``r.shape[1]`` nodes (all of them, or all but ``t = 0`` when
+        zero-started).  With ``antithetic=True`` the draws are base rows
+        and the result holds each row's antithetic pair.
         """
-        kap, n = self.kappa, self.n
-        if self.zero_start:
-            conv = self._convolve(xi)
-            z = self.sig_ou * (conv[:, kap - 1: kap * n: kap] + self.r_std * r)
-        else:
-            z = self.sig_ou * (self._moving_sum(g, xi, False) + self.r_std * r
-                               + self.eta_std[None, :] * eta)
+        # C order, as the arithmetic below and the vol map run faster on it
+        z = np.ascontiguousarray(self._moving_sum(g, xi, False))
+        z[:, -r.shape[1]:] += self.r_std * r
+        if not self.zero_start:
+            z += self.eta_std * eta
+        z *= self.sig_ou
         if antithetic:
             z = self.antithetic(z)
         if self.zero_start:
             # Z_0 = 0 is set after pairing: a negated zero would be -0.0
-            z = np.pad(z, ((0, 0), (1, 0)))
+            z[:, 0] = 0.0
         return z
 
     def conditional_means(self, g: np.ndarray, xi: Optional[np.ndarray] = None,
@@ -523,32 +530,33 @@ class FactorSampler:
         b, cols = xi.shape
         return xi.reshape(b, cols // m, m).sum(axis=2) / math.sqrt(m)
 
-    def prices(self, sigma: np.ndarray, xi_w: np.ndarray,
-               zeta: np.ndarray) -> np.ndarray:
-        """Prices on the grid from the vol path and standardized increments."""
-        return _x_from_vol(self.mp, self.grid.dt, sigma, xi_w, zeta)
-
-    def bundle(self, block: np.ndarray, seed: int,
-               decay: Optional[np.ndarray] = None,
-               antithetic: bool = False) -> PathBundle:
-        """Paths from one block of ``ncols`` draws; ``decay`` is added to Z.
-
-        With ``antithetic=True`` the block holds base rows (as
-        :func:`normal_blocks` yields them) and the bundle has twice as many
-        rows: the linear part of the scheme runs on the base rows and is
-        paired before the vol map.
-        """
-        kap, n, dt = self.kappa, self.n, self.grid.dt
-        g, xi, zeta, r, eta = np.split(
-            block, np.cumsum((self.widths[0], kap * n, n, self.widths[1])), axis=1)
+    def paths(self, g: Optional[np.ndarray], xi: np.ndarray, zeta: np.ndarray,
+              r: np.ndarray, eta: Optional[np.ndarray],
+              decay: Optional[np.ndarray] = None, antithetic: bool = False):
+        """``(Z, sigma, xi_w, zeta, X)`` from the draws of
+        :meth:`z_from_normals` and the orthogonal price shocks ``zeta``;
+        ``xi_w`` are the standardized price increments and ``decay`` is
+        added to ``Z``.  With ``antithetic=True`` the draws are base rows,
+        paired before the vol map, and every output holds both rows."""
         z = self.z_from_normals(g, xi, r, eta, antithetic)
         if decay is not None:
             z += decay
         sigma = self.mp.vol_fn(z)
-        xi_w = self.block_sums(xi, kap)
+        xi_w = self.block_sums(xi, self.kappa)
         if antithetic:
             xi_w, zeta = self.antithetic(xi_w), self.antithetic(zeta)
-        x = self.prices(sigma, xi_w, zeta)
+        return z, sigma, xi_w, zeta, _x_from_vol(self.mp, self.grid.dt,
+                                                 sigma, xi_w, zeta)
+
+    def bundle(self, block: np.ndarray, seed: int,
+               decay: Optional[np.ndarray] = None,
+               antithetic: bool = False) -> PathBundle:
+        """:meth:`paths` from one block of ``ncols`` draws (base rows, as
+        :func:`normal_blocks` yields them, with ``antithetic=True``)."""
+        n, dt, widths = self.n, self.grid.dt, self.widths
+        g, xi, zeta, r, eta = np.split(
+            block, np.cumsum((widths[0], self.kappa * n, n, widths[1])), axis=1)
+        z, sigma, xi_w, zeta, x = self.paths(g, xi, zeta, r, eta, decay, antithetic)
         return PathBundle(np.arange(n + 1) * dt, math.sqrt(dt) * xi_w,
                           math.sqrt(dt) * zeta, z, sigma, x, seed)
 
@@ -616,7 +624,8 @@ def exact_gaussian_check(mp: ModelParams, grid_small: SimGrid) -> ExactGaussianR
     increments, Cholesky-factorizes it (escalating jitter up to 1e-10, and
     raising if the matrix still is not positive semidefinite), computes the
     scheme's covariance in closed form, and reports the maximum absolute
-    entrywise difference of the two correlation matrices.
+    entrywise difference of the two correlation matrices and the largest
+    relative error of the scheme's factor variances.
     """
     if grid_small.n_steps > 512:
         raise ValueError(
@@ -632,8 +641,11 @@ def exact_gaussian_check(mp: ModelParams, grid_small: SimGrid) -> ExactGaussianR
         return m / np.outer(d, d)
 
     diff = float(np.max(np.abs(corr(exact) - corr(scheme))))
+    # both laws give each dW_j the variance dt exactly, so the Z_i set the max
+    var_diff = float(np.max(np.abs(np.diag(scheme) / np.diag(exact) - 1.0)))
     return ExactGaussianReport(
         max_abs_corr_diff=diff,
+        max_rel_var_diff=var_diff,
         zero_offset_value=float(exact[0, 0]),
         jitter=jitter,
         n_steps=grid_small.n_steps,

@@ -15,10 +15,11 @@ from roughvol.gaussfunc import (
 )
 from roughvol.kernel import KernelEval
 from roughvol.pricing import Call, bs_price, smooth_ramp
-from roughvol.simulate import ModelParams, SimGrid
+from roughvol.simulate import ModelParams, SimGrid, concat_bundles, simulate_paths
 from roughvol.experiments import (
     ConvergenceReport,
     MCEstimate,
+    _conditional_price,
     convergence_study,
     kappa_check,
     mc_price,
@@ -219,6 +220,32 @@ def test_convergence_zero_start_variant():
                             zero_start=True)
     assert rep.verdict.startswith("decreasing")
     assert all(np.isfinite(p.error) for p in rep.points)
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+@pytest.mark.parametrize("payoff", [Call(1.0), PAYOFF], ids=["call", "ramp"])
+def test_conditional_price_without_orthogonal_shock_is_the_payoff(rho, payoff):
+    # at |rho| = 1 the conditional vol is zero (bs_price_pathwise's rt = 0
+    # branch) and X_T is known given the vol path and W
+    mp = make_model(rho=rho)
+    grid = SimGrid.for_model(mp, points_per_eps=4, warmup_mult=24.0)
+    b = concat_bundles(simulate_paths(mp, grid, 400, seed=3))
+    sig = b.sigma[:, :-1]
+    cond = _conditional_price(mp, (sig * sig).sum(axis=1) * grid.dt,
+                              (sig * b.dW).sum(axis=1), payoff)
+    hx = np.asarray(payoff(b.X[:, -1]), dtype=float)
+    # relative to the spot as well: a call next to its strike keeps only
+    # the absolute accuracy of X_T - K
+    np.testing.assert_allclose(cond, hx, rtol=1e-12, atol=1e-12 * mp.x0)
+
+
+def test_convergence_at_unit_leverage_has_finite_noisy_points():
+    mp = make_model(rho=-1.0)
+    for payoff in (Call(1.0), PAYOFF):
+        rep = convergence_study(mp, EPS_GRID, payoff, n_paths=400, seed=2)
+        for p in rep.points:
+            assert math.isfinite(p.mc_mean)
+            assert p.mc_se > 0.0
 
 
 def test_convergence_report_serialization(small_study):

@@ -6,10 +6,11 @@ before this module was implemented.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from roughvol.kernel import (
     CovarianceEval,
@@ -650,6 +651,30 @@ def test_cov_rl_trivial_and_convergence():
 def test_cov_rl_zero_lag_is_running_l2_mass():
     ke = KernelEval(0.25)
     assert cov_RL(5.0, 0.0, ke) == pytest.approx(ke.ksq_cum(5.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.05])
+def test_cov_rl_matches_adaptive_quad(hurst):
+    # reference: adaptive quad of K(u) K(u + s), in w = u^a on [0, min(t, 1)]
+    # (where K(u) u' is smooth) and in u on [1, t]
+    ke = KernelEval(hurst)
+    a = ke._a
+
+    def head(w, s):
+        u = w ** (1.0 / a)
+        return ke.kernel_K(u) * ke.kernel_K(u + s) * u / (a * w)
+
+    # tolerances past double precision: quad warns that it stops at roundoff
+    opts = dict(epsabs=1e-16, epsrel=1e-15, limit=200)
+    for t, s in [(0.3, 0.5), (0.9, 0.05), (5.0, 2.0), (20.0, 0.1), (50.0, 1.0),
+                 (80.0, 2.0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            ref = integrate.quad(head, 0.0, min(t, 1.0) ** a, args=(s,), **opts)[0]
+            if t > 1.0:
+                ref += integrate.quad(
+                    lambda u: ke.kernel_K(u) * ke.kernel_K(u + s), 1.0, t, **opts)[0]
+        assert abs(cov_RL(t, s, ke) - ref) < 1e-13, (t, s)
 
 
 def test_cov_rl_monotone_convergence():
