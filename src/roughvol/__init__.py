@@ -8,124 +8,48 @@ coefficient (:mod:`roughvol.gaussfunc`), joint path simulation
 asymptotics (:mod:`roughvol.pricing`), Monte Carlo verification studies
 (:mod:`roughvol.experiments`), and a command-line front end
 (:mod:`roughvol.cli`).
+
+The package namespace is each of the five numerical modules' ``__all__``.
+``ROUGHVOL_THREADS`` is applied here, before NumPy is imported: it caps
+nothing in a process that imported NumPy first.
 """
+
+import os
 
 __version__ = "0.1.0"
 
-from .kernel import (
-    CovarianceEval,
-    Hurst,
-    KernelEval,
-    cov_RL,
-    gamma_reflect,
-    sigma_ou,
-)
-from .gaussfunc import (
-    BoundedSigmoid,
-    ConstantVol,
-    ExponentialVol,
-    GroupParams,
-    TabulatedVol,
-    VolFunction,
-    cov_sigma,
-    d_bar,
-    d_bar_markov,
-    group_params,
-    moments,
-    psi_of_C,
-    sigma_bar,
-)
-from .pricing import (
-    Call,
-    PriceResult,
-    SmoothCustom,
-    TermStructureParams,
-    bs_operator_greeks,
-    bs_price,
-    corrected_price,
-    implied_vol_asymptotic,
-    implied_vol_general,
-    implied_vol_invert,
-    smooth_ramp,
-    term_structure_factor,
-    zeta_exponent,
-)
-from .simulate import (
-    ExactGaussianReport,
-    ModelParams,
-    PathBundle,
-    SimGrid,
-    concat_bundles,
-    dump_paths,
-    exact_gaussian_check,
-    simulate_paths,
-    simulate_paths_RL,
-)
-from .experiments import (
-    MCEstimate,
-    convergence_study,
-    kappa_check,
-    mc_price,
-    phi_variance_check,
-    smile_study,
-    termstructure_study,
-    vartheta_check,
-)
 
-__all__ = [
-    "__version__",
-    # kernel / covariance
-    "Hurst",
-    "KernelEval",
-    "CovarianceEval",
-    "sigma_ou",
-    "gamma_reflect",
-    "psi_of_C",
-    "cov_sigma",
-    "cov_RL",
-    # volatility functions and group parameters
-    "VolFunction",
-    "BoundedSigmoid",
-    "ConstantVol",
-    "ExponentialVol",
-    "TabulatedVol",
-    "GroupParams",
-    "moments",
-    "sigma_bar",
-    "d_bar",
-    "d_bar_markov",
-    "group_params",
-    # pricing
-    "Call",
-    "SmoothCustom",
-    "smooth_ramp",
-    "PriceResult",
-    "TermStructureParams",
-    "bs_price",
-    "bs_operator_greeks",
-    "corrected_price",
-    "implied_vol_invert",
-    "implied_vol_asymptotic",
-    "implied_vol_general",
-    "term_structure_factor",
-    "zeta_exponent",
-    # simulation
-    "ModelParams",
-    "SimGrid",
-    "PathBundle",
-    "ExactGaussianReport",
-    "simulate_paths",
-    "simulate_paths_RL",
-    "exact_gaussian_check",
-    "concat_bundles",
-    "dump_paths",
-    # verification studies
-    "MCEstimate",
-    "mc_price",
-    "convergence_study",
-    "vartheta_check",
-    "phi_variance_check",
-    "kappa_check",
-    "smile_study",
-    "termstructure_study",
-]
+def _thread_count(raw: str | None) -> int | None:
+    """The thread count in ``raw``, or None unless ``raw`` is decimal digits
+    worth at least 1: the one rule for ``ROUGHVOL_THREADS``."""
+    if raw and raw.isdecimal() and int(raw) >= 1:
+        return int(raw)
+    return None
+
+
+def _cap_threads() -> None:
+    """Propagate ``ROUGHVOL_THREADS`` to the BLAS/OpenMP thread caps.
+
+    Runs before the numerical stack is imported, since the pools read these
+    variables at load time.  A value :func:`roughvol.cli.main` would reject
+    sets no cap.
+    """
+    count = _thread_count(os.environ.get("ROUGHVOL_THREADS"))
+    if count is None:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        os.environ[var] = str(count)
+
+
+_cap_threads()
+
+from . import experiments, gaussfunc, kernel, pricing, simulate  # noqa: E402
+from .kernel import *  # noqa: E402,F401,F403
+from .gaussfunc import *  # noqa: E402,F401,F403
+from .pricing import *  # noqa: E402,F401,F403
+from .simulate import *  # noqa: E402,F401,F403
+from .experiments import *  # noqa: E402,F401,F403
+
+__all__ = ["__version__", *kernel.__all__, *gaussfunc.__all__, *pricing.__all__,
+           *simulate.__all__, *experiments.__all__]

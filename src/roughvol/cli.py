@@ -16,53 +16,27 @@ Exit codes: 0 on success, 2 on configuration errors, and 3 on numerical
 failures (quadrature non-convergence or floating-point breakdown).
 
 The environment variable ``ROUGHVOL_THREADS`` caps the linear-algebra
-thread pools; the studies themselves are sequential and deterministic.
+thread pools; the studies themselves are sequential and deterministic.  The
+cap is applied by ``import roughvol``, before NumPy loads, so it has no
+effect in a process that imported NumPy first.
 """
 
 from __future__ import annotations
-
-import os
-from typing import Optional
-
-
-def _thread_count(raw: Optional[str]) -> Optional[int]:
-    """The thread count in ``raw``, or None unless ``raw`` is decimal digits
-    worth at least 1: the one rule for ``ROUGHVOL_THREADS``."""
-    if raw and raw.isdecimal() and int(raw) >= 1:
-        return int(raw)
-    return None
-
-
-def _cap_threads() -> None:
-    """Propagate ``ROUGHVOL_THREADS`` to the BLAS/OpenMP thread caps.
-
-    Must run before the numerical stack is imported, since the pools read
-    these variables at load time.  A value :func:`main` would reject sets
-    no cap.
-    """
-    count = _thread_count(os.environ.get("ROUGHVOL_THREADS"))
-    if count is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = str(count)
-
-
-_cap_threads()
 
 import argparse
 import configparser
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from scipy import integrate
 
-from . import experiments, pricing
+from . import _thread_count, experiments, pricing
 from .experiments import _ReportMixin
 from .gaussfunc import BoundedSigmoid, ConstantVol, d_bar, moments
 from .kernel import CovarianceEval, KernelEval

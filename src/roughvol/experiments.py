@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy import signal  # noqa: F401  (bench/tracer.py proxies experiments.signal)
 
 from . import pricing
 from .gaussfunc import (GroupParams, g_prime_sup, gaussian_profile,
@@ -50,6 +49,16 @@ __all__ = [
     "smile_study",
     "termstructure_study",
 ]
+
+
+def __getattr__(name: str):
+    """``signal`` is :mod:`scipy.signal`, imported on first lookup: no code
+    here calls it, but ``bench/tracer.py`` proxies ``experiments.signal``."""
+    if name == "signal":
+        from scipy import signal
+        return signal
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 N_PATHS_PRICING = 200_000  # default path budget for price estimates
 N_PATHS_LEMMA = 20_000     # default path budget for remainder-rate checks

@@ -61,7 +61,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import signal  # noqa: F401  (bench/tracer.py proxies simulate.signal)
 
 from .gaussfunc import VolFunction
 from .kernel import CovarianceEval, KernelEval, _hurst_value, jittered_cholesky
@@ -79,6 +78,16 @@ __all__ = [
     "concat_bundles",
     "dump_paths",
 ]
+
+
+def __getattr__(name: str):
+    """``signal`` is :mod:`scipy.signal`, imported on first lookup: no code
+    here calls it, but ``bench/tracer.py`` proxies ``simulate.signal``."""
+    if name == "signal":
+        from scipy import signal
+        return signal
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _BATCH_PATHS = 4096  # internal batch width; fixed so output is independent
 # of how many paths are requested (prefix property) and of any parallelism

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import roughvol
 from roughvol import cli
 from roughvol.cli import RunConfig, cmd_params, cmd_price, config_hash, load_config
 
@@ -453,7 +454,7 @@ def test_thread_cap_propagates(monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    cli._cap_threads()
+    roughvol._cap_threads()
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
@@ -461,7 +462,7 @@ def test_thread_cap_propagates(monkeypatch):
 def test_thread_cap_ignores_unset(monkeypatch):
     monkeypatch.delenv("ROUGHVOL_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cli._cap_threads()
+    roughvol._cap_threads()
     assert "OMP_NUM_THREADS" not in os.environ
 
 
@@ -470,7 +471,7 @@ def test_thread_env_rejected_by_main_sets_no_cap(monkeypatch, capsys, raw):
     # one parse rule: a value main() rejects never reaches the thread caps
     monkeypatch.setenv("ROUGHVOL_THREADS", raw)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cli._cap_threads()
+    roughvol._cap_threads()
     assert "OMP_NUM_THREADS" not in os.environ
     assert cli.main(["study", "termstructure"]) == 2
     assert "ROUGHVOL_THREADS" in capsys.readouterr().err
