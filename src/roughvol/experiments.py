@@ -22,8 +22,7 @@ import numpy as np
 from scipy import integrate
 
 from . import pricing
-from .gaussfunc import (GroupParams, g_prime_sup, gaussian_profile,
-                        group_params, mean_FFp)
+from .gaussfunc import g_prime_sup, gaussian_profile, group_params, mean_FFp
 from .simulate import (
     FactorSampler,
     ModelParams,
@@ -336,25 +335,19 @@ def _dyadic_grids(mp_base: ModelParams, eps: Sequence[float],
     return n_fine, models, grids, factors
 
 
-def _q_of_x(x: np.ndarray, mp: ModelParams, gp: GroupParams, payoff,
-            t: float) -> np.ndarray:
-    """Corrected price as a function of spot at an interior time."""
-    tau = mp.maturity_T - t
-    q0 = pricing.bs_price(x, payoff, gp.sigma_bar, tau)
-    _, d12 = pricing.bs_operator_greeks(x, payoff, gp.sigma_bar, tau)
-    return q0 + math.sqrt(mp.eps) * mp.rho * tau * gp.d_bar * d12
-
-
 def _conditional_price(mp: ModelParams, svar, sxw, payoff) -> np.ndarray:
     """``E[payoff(X_T) | sigma, W]`` per path, from ``svar = int_0^T sigma^2
     dt`` and ``sxw = int_0^T sigma dW`` (arrays or scalars): ``X_T`` is then
     ``x0 exp(rho sxw - rho^2 svar / 2)`` times a lognormal orthogonal shock
     of variance ``(1 - rho^2) svar``, which the Black--Scholes price
-    integrates out (Romano & Touzi, Math. Finance 7, 1997)."""
+    integrates out (Romano & Touzi, Math. Finance 7, 1997).  At
+    ``|rho| = 1`` there is no such shock, and ``payoff(x_eff)`` is exact."""
     svar, sxw = np.broadcast_arrays(svar, sxw)
     t = mp.maturity_T
     x_eff = mp.x0 * np.exp(mp.rho * sxw - 0.5 * mp.rho**2 * svar)
-    return pricing.bs_price_pathwise(
+    if mp.rho**2 == 1.0:
+        return payoff(x_eff)
+    return pricing.bs_price(
         x_eff, payoff, math.sqrt(1.0 - mp.rho**2) * np.sqrt(svar / t), t)
 
 
@@ -392,8 +385,8 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
     _check_se_paths("n_paths", n_paths, antithetic=True)
     gp = group_params(mp_base)
 
-    bs_center = float(pricing.bs_price(mp_base.x0, payoff, gp.sigma_bar,
-                                       mp_base.maturity_T))
+    prices = [pricing.first_order_price(mp.x0, mp, gp, payoff, mp.maturity_T)
+              for mp in models]
 
     pair_units = [[] for _ in eps]       # pair means of the CV-adjusted payoff
     interior_units = [[] for _ in eps]   # pair means of h(X_T) - Q_{T/2}(X_{T/2})
@@ -409,7 +402,7 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
                 sampler.block_sums(pool_zeta, factor), r, eta, antithetic=True)
             hx = np.asarray(payoff(x[:, -1]), dtype=float)
             # the conditional price of the vol path, control-variated by
-            # that of constant sigma_bar, whose expectation is bs_center
+            # that of constant sigma_bar, whose expectation is q0
             sig = sigma[:, :-1]
             cond = _conditional_price(
                 mp, (sig * sig).sum(axis=1) * grid.dt,
@@ -417,32 +410,31 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
             cond0 = _conditional_price(
                 mp, gp.sigma_bar**2 * mp.maturity_T,
                 gp.sigma_bar * (xi_w.sum(axis=1) * math.sqrt(grid.dt)), payoff)
-            units = cond - cond0 + bs_center
-            qmid = _q_of_x(x[:, grid.n_steps // 2], mp, gp, payoff,
-                           0.5 * mp.maturity_T)
+            units = cond - cond0 + prices[idx][0]
+            _, _, qmid = pricing.first_order_price(
+                x[:, grid.n_steps // 2], mp, gp, payoff, 0.5 * mp.maturity_T)
             pair_units[idx].append(_pair_means(units))
             interior_units[idx].append(_pair_means(hx - qmid))
 
     points = []
-    for idx, (mp, grid, e) in enumerate(zip(models, grids, eps)):
+    for idx, (e, (q0, _, q_eps)) in enumerate(zip(eps, prices)):
         est = _estimate_from_units(
             np.concatenate(pair_units[idx]), n_paths, seed
         )
         interior = _estimate_from_units(
             np.concatenate(interior_units[idx]), n_paths, seed
         )
-        res = pricing.corrected_price(mp, gp, payoff, 0.0)
-        err = abs(est.mean - res.q_eps)
+        err = abs(est.mean - q_eps)
         points.append(ConvergencePoint(
             eps=e,
             mc_mean=est.mean,
             mc_se=est.std_error,
-            q0=res.q0,
-            q_eps=res.q_eps,
+            q0=q0,
+            q_eps=q_eps,
             error=err,
             scaled_error=err / math.sqrt(e),
             scaled_se=est.std_error / math.sqrt(e),
-            error_bs=abs(est.mean - res.q0),
+            error_bs=abs(est.mean - q0),
             interior_error=abs(interior.mean),
             interior_se=interior.std_error,
             inconclusive=bool(err < 2.0 * est.std_error),

@@ -6,8 +6,10 @@ The corrected price is
     Q1(x)    = (T - t) * d_bar * (x d/dx (x^2 d^2/dx^2)) Q0(x),
 
 where ``Q0`` is the zero-rate Black--Scholes price at the effective
-volatility ``sigma_bar``.  The induced implied-volatility expansion is
-affine in log-moneyness,
+volatility ``sigma_bar``; :func:`first_order_price` alone forms ``Q1`` and
+``Q^eps``.  Every Black--Scholes price, at one vol or one per path, takes
+one route.  The induced implied-volatility expansion is affine in
+log-moneyness,
 
     I = sigma_bar + sqrt(eps) rho d_bar [1/(2 sigma_bar)
         + log(K/x) / (sigma_bar^3 (T-t))],
@@ -34,8 +36,8 @@ __all__ = [
     "PriceResult",
     "TermStructureParams",
     "bs_price",
-    "bs_price_pathwise",
     "bs_operator_greeks",
+    "first_order_price",
     "corrected_price",
     "implied_vol_invert",
     "implied_vol_asymptotic",
@@ -192,89 +194,85 @@ class TermStructureParams:
             raise ValueError("delta_sigma must be finite")
 
 
-def _validate_market(x, sigma: float, tau: float):
-    if np.any(np.asarray(x) <= 0.0):
-        raise ValueError("spot must be positive")
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive; got {sigma!r}")
-    if not (tau >= 0.0):
-        raise ValueError(f"tau must be nonnegative; got {tau!r}")
+def _market(x, sigma, tau: float):
+    """Validated spot (at least one-dimensional), total vol
+    ``rt = sigma sqrt(tau)``, and whether both inputs were scalars."""
+    x = np.asarray(x, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    for name, a in (("spot", x), ("sigma", sigma)):
+        # min and max are NaN if any entry is
+        if a.size and not (0.0 < a.min() and a.max() < math.inf):
+            raise ValueError(f"{name} must be positive and finite")
+    if not (0.0 <= tau < math.inf):
+        raise ValueError(f"tau must be nonnegative and finite; got {tau!r}")
+    scalar = x.ndim == 0 and sigma.ndim == 0
+    return np.atleast_1d(x), sigma * math.sqrt(tau), scalar
 
 
-def bs_price(x, payoff, sigma: float, tau: float):
-    """Zero-rate Black--Scholes price of ``payoff`` (vectorized in ``x``).
+def _lognormal_nodes(rt):
+    """Gauss--Hermite rule ``(zeta, w)`` of ``N(0, 1)`` and the lognormal
+    factors ``Y = exp(rt zeta - rt^2/2)``, one row per entry of ``rt``."""
+    zeta, w = _gh_nodes(_GH_PRICE_ORDER)
+    rt = rt[..., None]
+    return zeta, w, np.exp(rt * zeta - 0.5 * (rt * rt))
+
+
+def _lognormal(x, payoff, rt):
+    """Unvalidated ``E[payoff(x Y)]`` at total vol ``rt = sigma sqrt(tau) > 0``,
+    broadcast over ``x`` and ``rt``: the zero-rate Black--Scholes price."""
+    if isinstance(payoff, Call):
+        d1 = (np.log(x / payoff.strike) + 0.5 * rt * rt) / rt
+        return x * special.ndtr(d1) - payoff.strike * special.ndtr(d1 - rt)
+    _, w, y = _lognormal_nodes(rt)
+    return payoff(x[..., None] * y) @ w
+
+
+def bs_price(x, payoff, sigma, tau: float):
+    """Zero-rate Black--Scholes price of ``payoff``, broadcast over spot
+    ``x`` and volatility ``sigma`` (every ``sigma > 0``).
 
     Calls use the closed formula; smooth payoffs integrate ``h`` against
     the lognormal transition density by Gauss--Hermite quadrature.
     ``tau = 0`` returns ``h(x)``.
     """
-    _validate_market(x, sigma, tau)
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
+    x, rt, scalar = _market(x, sigma, tau)
     if tau == 0.0:
-        out = payoff(x_arr)
-    elif isinstance(payoff, Call):
-        rt = sigma * math.sqrt(tau)
-        d1 = (np.log(x_arr / payoff.strike) + 0.5 * rt * rt) / rt
-        out = x_arr * special.ndtr(d1) - payoff.strike * special.ndtr(d1 - rt)
+        out = payoff(np.broadcast_to(x, np.broadcast_shapes(x.shape, rt.shape)))
     else:
-        zeta, w = _gh_nodes(_GH_PRICE_ORDER)
-        rt = sigma * math.sqrt(tau)
-        y = np.exp(-0.5 * rt * rt + rt * zeta)
-        out = payoff.h(x_arr[:, None] * y[None, :]) @ w
+        out = _lognormal(x, payoff, rt)
     return float(out[0]) if scalar else out
 
 
-def bs_price_pathwise(x: np.ndarray, payoff, vols: np.ndarray,
-                      tau: float) -> np.ndarray:
-    """Black--Scholes price vectorized over per-path spot and volatility."""
-    rt = vols * math.sqrt(tau)
-    if isinstance(payoff, Call):
-        k = payoff.strike
-        rt_safe = np.where(rt > 0.0, rt, 1.0)
-        d1 = (np.log(x / k) + 0.5 * rt_safe**2) / rt_safe
-        smooth = x * special.ndtr(d1) - k * special.ndtr(d1 - rt_safe)
-        return np.where(rt > 0.0, smooth, np.maximum(x - k, 0.0))
-    nodes, weights = _gh_nodes(_GH_PRICE_ORDER)
-    y = np.exp(rt[:, None] * nodes[None, :] - 0.5 * (rt * rt)[:, None])
-    return np.asarray(payoff(x[:, None] * y), dtype=float) @ weights
-
-
-def bs_operator_greeks(x, payoff, sigma: float, tau: float):
+def bs_operator_greeks(x, payoff, sigma, tau: float):
     """The operator greeks ``(D2, D12)`` of the leading-order price.
 
-    ``D2 = x^2 d^2Q0/dx^2`` and ``D12 = x d/dx (x^2 d^2Q0/dx^2)``.  Calls
-    use closed forms at ``d1``; smooth payoffs differentiate under the
-    lognormal integral (the third payoff derivative is eliminated by
-    Gaussian integration by parts, so only ``h''`` is required).
+    ``D2 = x^2 d^2Q0/dx^2`` and ``D12 = x d/dx (x^2 d^2Q0/dx^2)``, broadcast
+    over ``x`` and ``sigma`` as in :func:`bs_price`.  Calls use closed forms
+    at ``d1``; smooth payoffs differentiate under the lognormal integral
+    (the third payoff derivative is eliminated by Gaussian integration by
+    parts, so only ``h''`` is required).
 
     Raises
     ------
     ValueError
         If ``tau <= 0`` (the operators are undefined at expiry).
     """
-    _validate_market(x, sigma, tau)
+    x, rt, scalar = _market(x, sigma, tau)
     if tau == 0.0:
         raise ValueError("operator greeks are undefined at expiry (tau=0)")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    rt = sigma * math.sqrt(tau)
     if isinstance(payoff, Call):
-        d1 = (np.log(x_arr / payoff.strike) + 0.5 * rt * rt) / rt
-        d2v = x_arr * _norm_pdf(d1) / rt
+        d1 = (np.log(x / payoff.strike) + 0.5 * rt * rt) / rt
+        d2v = x * _norm_pdf(d1) / rt
         d12 = d2v * (1.0 - d1 / rt)
     else:
-        zeta, w = _gh_nodes(_GH_PRICE_ORDER)
-        y = np.exp(-0.5 * rt * rt + rt * zeta)
-        hpp = payoff.h_double_prime(x_arr[:, None] * y[None, :])
+        zeta, w, y = _lognormal_nodes(rt)
+        hpp = payoff.h_double_prime(x[..., None] * y)
         y2 = y * y
-        d2v = x_arr**2 * ((hpp * y2[None, :]) @ w)
+        d2v = x**2 * ((hpp * y2) @ w)
         # x^3 E[h'''(xY) Y^3] = x^2 E[zeta h''(xY) Y^2]/rt - 2 x^2 E[h'' Y^2]
         # (Gaussian integration by parts), so
         # D12 = 2 D2 + x^3 E[h''' Y^3] = x^2 E[zeta h''(xY) Y^2]/rt
-        d12 = x_arr**2 * ((hpp * (zeta * y2)[None, :]) @ w) / rt
+        d12 = x**2 * ((hpp * (zeta * y2)) @ w) / rt
     if scalar:
         return float(d2v[0]), float(d12[0])
     return d2v, d12
@@ -307,7 +305,7 @@ def implied_vol_invert(price: float, x: float, strike: float, tau: float) -> flo
     payoff = Call(strike)
 
     def f(sig):
-        return bs_price(x, payoff, sig, tau) - price
+        return float(_lognormal(x, payoff, sig * math.sqrt(tau))) - price
 
     hi = 1.0
     while f(hi) < 0.0:
@@ -346,27 +344,35 @@ def implied_vol_asymptotic(mp, gp, x, strike, t: float):
     return float(out) if np.ndim(strike) == 0 else out
 
 
+def first_order_price(x, mp, gp, payoff, tau: float):
+    """First-order price ``(q0, q1, q_eps)`` at spot ``x`` (vectorized) and
+    time to maturity ``tau``.
+
+    ``q0`` is the Black--Scholes price at ``gp.sigma_bar``,
+    ``q1 = tau d_bar D12`` and ``q_eps = q0 + sqrt(eps) rho q1``.  At
+    ``tau = 0``, ``q0`` is the payoff and ``q1 = 0``.
+    """
+    q0 = bs_price(x, payoff, gp.sigma_bar, tau)
+    d12 = bs_operator_greeks(x, payoff, gp.sigma_bar, tau)[1] if tau else 0.0 * q0
+    q1 = tau * gp.d_bar * d12
+    return q0, q1, q0 + math.sqrt(mp.eps) * mp.rho * q1
+
+
 def corrected_price(mp, gp, payoff, t: float) -> PriceResult:
     """First-order corrected price at time ``t`` for spot ``mp.x0``.
 
-    ``q0`` is the Black--Scholes price at ``gp.sigma_bar``;
-    ``q1 = (T-t) d_bar D12``; ``q_eps = q0 + sqrt(eps) rho q1``.  At
-    ``t = T`` the payoff itself is returned with ``q1 = 0``.  For call
-    payoffs with ``t < T`` both implied-volatility fields are filled.
+    ``q0``, ``q1`` and ``q_eps`` are :func:`first_order_price` at
+    ``tau = T - t``.  For call payoffs with ``t < T`` both
+    implied-volatility fields are filled.
     """
     if not (0.0 <= t <= mp.maturity_T):
         raise ValueError(
             f"t must lie in [0, {mp.maturity_T!r}]; got {t!r}"
         )
     tau = mp.maturity_T - t
-    q0 = float(bs_price(mp.x0, payoff, gp.sigma_bar, tau))
-    if tau == 0.0:
-        return PriceResult(q0, 0.0, q0, None, None)
-    _, d12 = bs_operator_greeks(mp.x0, payoff, gp.sigma_bar, tau)
-    q1 = tau * gp.d_bar * float(d12)
-    q_eps = q0 + math.sqrt(mp.eps) * mp.rho * q1
+    q0, q1, q_eps = first_order_price(mp.x0, mp, gp, payoff, tau)
     iv_inv = iv_asym = None
-    if isinstance(payoff, Call):
+    if isinstance(payoff, Call) and tau > 0.0:
         iv_asym = float(implied_vol_asymptotic(mp, gp, mp.x0, payoff.strike, t))
         lower = max(mp.x0 - payoff.strike, 0.0)
         if lower < q_eps < mp.x0:

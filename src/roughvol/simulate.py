@@ -129,17 +129,17 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "hurst", _hurst_value(self.hurst))
-        if not (self.eps > 0.0):
-            raise ValueError(f"eps must be positive; got {self.eps!r}")
+        if not (0.0 < self.eps < math.inf):
+            raise ValueError(f"eps must be positive and finite; got {self.eps!r}")
         if not (-1.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must lie in [-1, 1]; got {self.rho!r}")
         if not isinstance(self.vol_fn, VolFunction):
             raise ValueError("vol_fn must be a VolFunction instance")
-        if not (self.x0 > 0.0):
-            raise ValueError(f"x0 must be positive; got {self.x0!r}")
-        if not (self.maturity_T > 0.0):
+        if not (0.0 < self.x0 < math.inf):
+            raise ValueError(f"x0 must be positive and finite; got {self.x0!r}")
+        if not (0.0 < self.maturity_T < math.inf):
             raise ValueError(
-                f"maturity_T must be positive; got {self.maturity_T!r}"
+                f"maturity_T must be positive and finite; got {self.maturity_T!r}"
             )
 
 

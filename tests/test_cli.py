@@ -256,6 +256,20 @@ def test_malformed_json_config_is_config_error(tmp_path):
     assert cli.main(["params", "--config", str(path)]) == 2
 
 
+def test_infinite_eps_flag_is_config_error(capsys):
+    assert cli.main(["params", "--eps", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "eps" in err
+
+
+def test_infinite_maturity_in_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "inf.ini"
+    path.write_text("[model]\nmaturity_T = Infinity\n")
+    assert cli.main(["params", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "maturity_T" in err
+
+
 # -- params command --------------------------------------------------------------
 
 

@@ -225,14 +225,16 @@ def test_convergence_zero_start_variant():
 @pytest.mark.parametrize("rho", [1.0, -1.0])
 @pytest.mark.parametrize("payoff", [Call(1.0), PAYOFF], ids=["call", "ramp"])
 def test_conditional_price_without_orthogonal_shock_is_the_payoff(rho, payoff):
-    # at |rho| = 1 the conditional vol is zero (bs_price_pathwise's rt = 0
-    # branch) and X_T is known given the vol path and W
+    # at |rho| = 1 there is no orthogonal shock: X_T is known given the vol
+    # path and W, and _conditional_price returns the payoff there
     mp = make_model(rho=rho)
     grid = SimGrid.for_model(mp, points_per_eps=4, warmup_mult=24.0)
     b = concat_bundles(simulate_paths(mp, grid, 400, seed=3))
     sig = b.sigma[:, :-1]
-    cond = _conditional_price(mp, (sig * sig).sum(axis=1) * grid.dt,
-                              (sig * b.dW).sum(axis=1), payoff)
+    svar, sxw = (sig * sig).sum(axis=1) * grid.dt, (sig * b.dW).sum(axis=1)
+    cond = _conditional_price(mp, svar, sxw, payoff)
+    x_eff = mp.x0 * np.exp(mp.rho * sxw - 0.5 * mp.rho**2 * svar)
+    assert np.array_equal(cond, payoff(x_eff))
     hx = np.asarray(payoff(b.X[:, -1]), dtype=float)
     # relative to the spot as well: a call next to its strike keeps only
     # the absolute accuracy of X_T - K

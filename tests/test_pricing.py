@@ -1,5 +1,6 @@
 """Tests for pricing: BS formulas, operator greeks, implied volatility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from roughvol.pricing import (
     bs_operator_greeks,
     bs_price,
     corrected_price,
+    first_order_price,
     implied_vol_asymptotic,
     implied_vol_general,
     implied_vol_invert,
@@ -122,6 +124,40 @@ def test_bs_price_vectorized_in_spot():
     assert got.shape == (3,)
     for xi, gi in zip(x, got):
         assert gi == pytest.approx(bs_price(float(xi), Call(100.0), 0.2, 1.0))
+
+
+@pytest.mark.parametrize("payoff", [Call(1.0), smooth_ramp(1.0, 0.1)],
+                         ids=["call", "ramp"])
+def test_bs_price_per_path_vols_match_scalar_calls(payoff):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.6, 1.5, 257)
+    sigma = rng.uniform(0.05, 0.9, 257)
+    got = bs_price(x, payoff, sigma, 0.8)
+    want = np.array([bs_price(a, payoff, s, 0.8) for a, s in zip(x, sigma)])
+    if isinstance(payoff, Call):
+        assert np.array_equal(got, want)
+    else:
+        # the Gauss-Hermite sum is a BLAS matrix-vector product, which may
+        # accumulate a row in another order when there are many rows
+        np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps,
+                                   atol=0.0)
+    for bad in (0.0, np.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            bs_price(x, payoff, np.where(np.arange(257) == 100, bad, sigma), 0.8)
+
+
+@pytest.mark.parametrize("fn", [bs_price, bs_operator_greeks])
+@pytest.mark.parametrize("x, sigma, tau, name", [
+    (np.nan, 0.2, 1.0, "spot"),
+    (np.array([1.0, np.inf]), 0.2, 1.0, "spot"),
+    (1.0, 0.2, math.inf, "tau"),
+    (1.0, np.array([0.2, np.nan]), 1.0, "sigma"),
+    (1.0, math.inf, 1.0, "sigma"),
+])
+def test_non_finite_market_inputs_rejected(fn, x, sigma, tau, name):
+    for payoff in (Call(1.0), smooth_ramp(1.0, 0.1)):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            fn(x, payoff, sigma, tau)
 
 
 def test_bs_price_smooth_matches_trapezoid_oracle():
@@ -306,6 +342,25 @@ def test_corrected_price_smooth_payoff():
     assert res.implied_vol_asymptotic is None
     assert res.q_eps == res.q0 + math.sqrt(mp.eps) * mp.rho * res.q1
     assert res.q1 != 0.0
+
+
+@pytest.mark.parametrize("t", [0.0, 0.4, 1.0])
+def test_first_order_price_matches_corrected_price_at_each_spot(t):
+    mp = Model(eps=0.05, rho=-0.5)
+    spots = np.linspace(0.7, 1.4, 15)
+    for payoff in (Call(1.0), smooth_ramp(1.0, 0.15)):
+        got = np.array(first_order_price(spots, mp, GP, payoff,
+                                         mp.maturity_T - t))
+        assert got.shape == (3, spots.size)
+        want = np.array([dataclasses.astuple(corrected_price(
+            Model(eps=0.05, rho=-0.5, x0=float(x)), GP, payoff, t))[:3]
+            for x in spots]).T
+        if isinstance(payoff, Call) or t == 1.0:
+            assert np.array_equal(got, want)
+        else:
+            # see test_bs_price_per_path_vols_match_scalar_calls
+            np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps,
+                                       atol=0.0)
 
 
 def test_corrected_price_validation():

@@ -77,6 +77,12 @@ def test_model_params_validation(kw):
         make_model(**kw)
 
 
+@pytest.mark.parametrize("field", ["eps", "x0", "maturity_T"])
+def test_model_params_reject_infinity(field):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        make_model(**{field: math.inf})
+
+
 def test_model_params_vol_fn_type():
     with pytest.raises(ValueError, match="vol_fn"):
         make_model(vol_fn=lambda z: z)
