@@ -255,7 +255,9 @@ class RunConfig:
         "study", _number, None, note="null: vartheta checks t = 0 only")
     strikes_rel: tuple = _key("study", _numbers, (0.94, 0.97, 1.0, 1.03, 1.06))
     tau_mr: float = _key("study", _number, 1.0)
-    delta_sigma: float = _key("study", _number, 0.1)
+    delta_sigma: float = _key(
+        "study", _number, 0.1,
+        note="read by no study; kept so existing configs load and hash unchanged")
     out_dir: Optional[str] = _key("output", _text, None, key="dir", flag="--out",
                                   note="null: print only, write no files")
     formats: tuple = _key("output", _formats, _FORMATS, flag="--format")
@@ -576,7 +578,7 @@ def _emit(report, name: str, cfg: RunConfig) -> list:
         elif fmt == "txt":
             path.write_text(comment + report.to_text())
         else:
-            payload = json.loads(report.to_json())
+            payload = report.payload()
             payload["config_hash"] = h
             payload.setdefault("seed", cfg.seed)
             path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")

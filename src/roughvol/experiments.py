@@ -147,15 +147,6 @@ def mc_price(mp: ModelParams, grid: SimGrid, payoff, n_paths: int = N_PATHS_PRIC
 # -- report plumbing -----------------------------------------------------------
 
 
-def _scalar_fields(report) -> dict:
-    out = {}
-    for f in dataclasses.fields(report):
-        v = getattr(report, f.name)
-        if isinstance(v, (int, float, str, bool)) or v is None:
-            out[f.name] = v
-    return out
-
-
 def _to_builtin(value):
     if isinstance(value, tuple):
         return [_to_builtin(v) for v in value]
@@ -165,44 +156,6 @@ def _to_builtin(value):
         return {f.name: _to_builtin(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     return value
-
-
-def _report_json(report) -> str:
-    payload = {"report": type(report).__name__}
-    payload.update(
-        {f.name: _to_builtin(getattr(report, f.name))
-         for f in dataclasses.fields(report)}
-    )
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _report_text(report, columns, rows, notes=()) -> str:
-    lines = [f"[{type(report).__name__}]"]
-    for note in notes:
-        lines.append(f"  note: {note}")
-    for name, value in _scalar_fields(report).items():
-        if isinstance(value, float):
-            lines.append(f"  {name} = {value:.12g}")
-        else:
-            lines.append(f"  {name} = {value}")
-    if columns:
-        cells = [[f"{v:.6e}" if isinstance(v, float) else str(v) for v in row]
-                 for row in rows]
-        widths = [max(len(c), *(len(r[i]) for r in cells)) if cells else len(c)
-                  for i, c in enumerate(columns)]
-        lines.append("  " + "  ".join(c.rjust(w) for c, w in zip(columns, widths)))
-        for row in cells:
-            lines.append("  " + "  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
-
-
-def _report_csv(columns, rows) -> str:
-    out = [",".join(columns)]
-    for row in rows:
-        out.append(",".join(
-            "%.17g" % v if isinstance(v, float) else str(v) for v in row
-        ))
-    return "\n".join(out) + "\n"
 
 
 class _ReportMixin:
@@ -215,16 +168,43 @@ class _ReportMixin:
     def notes(self):
         return ()
 
+    def payload(self) -> dict:
+        """The report's JSON object: its type name and every field."""
+        return {"report": type(self).__name__,
+                **{f.name: _to_builtin(getattr(self, f.name))
+                   for f in dataclasses.fields(self)}}
+
     def to_json(self) -> str:
-        return _report_json(self)
+        return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
+        lines = [f"[{type(self).__name__}]"]
+        lines += [f"  note: {note}" for note in self.notes]
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float):
+                lines.append(f"  {f.name} = {value:.12g}")
+            elif isinstance(value, (int, str, bool)) or value is None:
+                lines.append(f"  {f.name} = {value}")
         columns, rows = self.table()
-        return _report_text(self, columns, rows, self.notes)
+        if columns:
+            cells = [[f"{v:.6e}" if isinstance(v, float) else str(v) for v in row]
+                     for row in rows]
+            widths = [max(len(c), *(len(r[i]) for r in cells)) if cells else len(c)
+                      for i, c in enumerate(columns)]
+            lines.append("  " + "  ".join(c.rjust(w) for c, w in zip(columns, widths)))
+            for row in cells:
+                lines.append("  " + "  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
         columns, rows = self.table()
-        return _report_csv(columns, rows)
+        out = [",".join(columns)]
+        for row in rows:
+            out.append(",".join(
+                "%.17g" % v if isinstance(v, float) else str(v) for v in row
+            ))
+        return "\n".join(out) + "\n"
 
 
 # -- convergence study ---------------------------------------------------------
@@ -901,7 +881,9 @@ def termstructure_study(hurst: float, tau_mr: float = 1.0,
                         tau_bar: float = 1.0,
                         delta_sigma: float = 0.1) -> TermStructureReport:
     """Short- and long-maturity slopes of the amplitude factor, plus the
-    characteristic exponents for the three modelling regimes."""
+    characteristic exponents for the three modelling regimes.  The report
+    does not depend on ``delta_sigma``: it is read by no study, and kept so
+    existing calls and configs load and hash unchanged."""
     ts = pricing.TermStructureParams(
         regime="FastMeanReverting", tau_mr=tau_mr, delta_sigma=delta_sigma,
         tau_bar=tau_bar,

@@ -151,8 +151,9 @@ class SimGrid:
     ``TruncatedMovingAverage`` scheme the grid must resolve the fast scale
     (``dt <= eps/4``) and carry enough history (``warmup_horizon >=
     20 eps``) — both enforced at simulation time against the model.
-    ``CholeskyExact`` samples the exact joint Gaussian law instead
-    (limited to ``n_steps <= 512``) and ignores the warmup.
+    ``CholeskyExact`` samples the exact joint Gaussian law instead and
+    ignores the warmup; that law, in :func:`simulate_paths` and
+    :func:`exact_gaussian_check` alike, is limited to ``n_steps <= 512``.
     """
 
     n_steps: int
@@ -233,30 +234,27 @@ class ExactGaussianReport:
     warmup_horizon: float
 
 
-def _validate_grid(mp: ModelParams, grid: SimGrid, moving_average: bool = True,
-                   warmup: bool = True):
-    """Check ``grid`` for ``mp`` under the moving-average rules, which apply
-    whatever the grid's label, or else under the Cholesky size limit."""
+def _check_span(mp: ModelParams, grid: SimGrid):
     if abs(grid.n_steps * grid.dt - mp.maturity_T) > 1e-9 * mp.maturity_T:
         raise ValueError(
             f"grid spans {grid.n_steps * grid.dt!r} years but maturity is "
             f"{mp.maturity_T!r}"
         )
-    if moving_average:
-        if grid.dt > mp.eps / 4.0 * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt={grid.dt!r} violates dt <= eps/4 = {mp.eps / 4.0!r}; "
-                "the grid must resolve the fast scale"
-            )
-        if warmup and grid.warmup_horizon < 20.0 * mp.eps * (1.0 - 1e-12):
-            raise ValueError(
-                f"warmup_horizon={grid.warmup_horizon!r} violates "
-                f"warmup >= 20*eps = {20.0 * mp.eps!r}"
-            )
-    elif grid.n_steps > 512:
+
+
+def _validate_grid(mp: ModelParams, grid: SimGrid, warmup: bool = True):
+    """Check ``grid`` for ``mp`` under the moving-average rules, which apply
+    whatever the grid's label."""
+    _check_span(mp, grid)
+    if grid.dt > mp.eps / 4.0 * (1.0 + 1e-12):
         raise ValueError(
-            "CholeskyExact is limited to n_steps <= 512; got "
-            f"{grid.n_steps}"
+            f"dt={grid.dt!r} violates dt <= eps/4 = {mp.eps / 4.0!r}; "
+            "the grid must resolve the fast scale"
+        )
+    if warmup and grid.warmup_horizon < 20.0 * mp.eps * (1.0 - 1e-12):
+        raise ValueError(
+            f"warmup_horizon={grid.warmup_horizon!r} violates "
+            f"warmup >= 20*eps = {20.0 * mp.eps!r}"
         )
 
 
@@ -594,6 +592,19 @@ def _exact_joint_cov(mp: ModelParams, grid: SimGrid):
     return cov
 
 
+def _exact_factor(mp: ModelParams, grid: SimGrid):
+    """``(cov, chol, jitter)``: :func:`_exact_joint_cov` on a grid that spans
+    the maturity and has ``n_steps <= 512`` (the warmup is not used), and
+    its :func:`~roughvol.kernel.jittered_cholesky` factor and jitter."""
+    _check_span(mp, grid)
+    if grid.n_steps > 512:
+        raise ValueError(
+            f"the exact joint law is limited to n_steps <= 512; got {grid.n_steps}"
+        )
+    cov = _exact_joint_cov(mp, grid)
+    return (cov, *jittered_cholesky(cov))
+
+
 def _scheme_joint_cov(mp: ModelParams, grid: SimGrid) -> np.ndarray:
     """Covariance of (Z_0..Z_n, dW) implied by the moving-average scheme.
 
@@ -634,15 +645,11 @@ def exact_gaussian_check(mp: ModelParams, grid_small: SimGrid) -> ExactGaussianR
     raising if the matrix still is not positive semidefinite), computes the
     scheme's covariance in closed form, and reports the maximum absolute
     entrywise difference of the two correlation matrices and the largest
-    relative error of the scheme's factor variances.
+    relative error of the scheme's factor variances.  The grid must meet
+    the exact law's size limit and the moving-average rules, as in
+    :func:`simulate_paths`.
     """
-    if grid_small.n_steps > 512:
-        raise ValueError(
-            f"exact_gaussian_check requires n_steps <= 512; got {grid_small.n_steps}"
-        )
-    _validate_grid(mp, grid_small)
-    exact = _exact_joint_cov(mp, grid_small)
-    _, jitter = jittered_cholesky(exact)
+    exact, _, jitter = _exact_factor(mp, grid_small)
     scheme = _scheme_joint_cov(mp, grid_small)
 
     def corr(m):
@@ -678,16 +685,16 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
     ------
     ValueError
         If the grid violates its invariants for ``mp`` (``dt <= eps/4``,
-        ``warmup >= 20 eps`` under the moving-average scheme), if
-        ``n_paths <= 0``, or if ``antithetic`` and ``n_paths`` is odd.
+        ``warmup >= 20 eps`` under the moving-average scheme,
+        ``n_steps <= 512`` under ``CholeskyExact``), if ``n_paths <= 0``,
+        or if ``antithetic`` and ``n_paths`` is odd.
     """
     if grid.scheme == "TruncatedMovingAverage":
         sampler = FactorSampler(mp, grid)
         for block in normal_blocks(seed, n_paths, sampler.ncols, antithetic):
             yield sampler.bundle(block, seed, antithetic=antithetic)
         return
-    _validate_grid(mp, grid, moving_average=False)
-    chol, _ = jittered_cholesky(_exact_joint_cov(mp, grid))
+    _, chol, _ = _exact_factor(mp, grid)
     n, dt = grid.n_steps, grid.dt
     times = np.arange(n + 1) * dt
     for block in normal_blocks(seed, n_paths, 3 * n + 1, antithetic):

@@ -255,6 +255,23 @@ def test_implied_vol_roundtrip(sigma, moneyness, tau):
     )
 
 
+@pytest.mark.parametrize("x", [1.0, 100.0])
+@pytest.mark.parametrize("tau", [1e-3, 0.1, 1.0, 30.0])
+@pytest.mark.parametrize("sigma", [0.005, 0.05, 0.3, 2.0])
+def test_implied_vol_reprices_within_docstring_bound(x, tau, sigma):
+    # the docstring promises a repricing error within 1e-12 x
+    checked = 0
+    for k in (-1.5, -0.5, 0.0, 0.5, 1.5):
+        strike = x * math.exp(k)
+        price = bs_price(x, Call(strike), sigma, tau)
+        if not (max(x - strike, 0.0) + 1e-14 * x < price < x - 1e-14 * x):
+            continue  # too close to a bound to invert
+        iv = implied_vol_invert(price, x, strike, tau)
+        assert abs(bs_price(x, Call(strike), iv, tau) - price) <= 1e-12 * x
+        checked += 1
+    assert checked  # the at-the-money quote is never at a bound
+
+
 def test_implied_vol_bound_errors_name_the_bound():
     with pytest.raises(ValueError, match="lower bound"):
         implied_vol_invert(9.0, 100.0, 90.0, 1.0)

@@ -314,6 +314,30 @@ def test_exact_gaussian_check_size_limit():
         exact_gaussian_check(mp, grid)
 
 
+def test_exact_law_size_limit_has_one_message():
+    mp = make_model(maturity_T=600 * EPS / 8)
+    with pytest.raises(ValueError, match="512") as sim:
+        next(simulate_paths(mp, SimGrid(600, EPS / 8, 0.0, scheme="CholeskyExact"),
+                            2, seed=0))
+    with pytest.raises(ValueError, match="512") as check:
+        exact_gaussian_check(mp, SimGrid(600, EPS / 8, 30 * EPS))
+    assert str(check.value) == str(sim.value)
+
+
+@pytest.mark.parametrize("grid", [
+    SimGrid(4, EPS / 2, 30 * EPS),        # dt > eps/4
+    SimGrid(16, EPS / 8, 10 * EPS),       # warmup < 20 eps
+    SimGrid(15, EPS / 8, 30 * EPS),       # spans 15/16 of the maturity
+], ids=["coarse", "short_warmup", "short_span"])
+def test_exact_gaussian_check_rejects_grid_as_sampler_does(grid):
+    mp = make_model(maturity_T=2 * EPS)
+    with pytest.raises(ValueError) as sampler:
+        FactorSampler(mp, grid)
+    with pytest.raises(ValueError) as check:
+        exact_gaussian_check(mp, grid)
+    assert str(check.value) == str(sampler.value)
+
+
 def test_cross_covariance_sign_follows_cell_mass():
     # with enough lags the kernel cell integrals change sign; the scheme's
     # Cov(Z_i, dW_j) must flip sign with them
