@@ -3,10 +3,12 @@
 A run is described by a declarative config file (INI sections with
 JSON-typed values, or an equivalent JSON document) holding the model,
 grid, payoff, study, and output settings; command-line flags override
-individual values.  Every emitted file embeds the config hash and seed in
-a header comment, CSV files carry column names on the first line and 17
-significant digits, and each run with an output directory writes a
-``config.json`` sidecar that re-parses to the identical configuration.
+individual values.  Every report and path file embeds the config hash and
+seed in a header comment (JSON: top-level keys), and CSV files carry
+column names on the first line and 17 significant digits.  A run with an
+output directory writes a ``config.json`` sidecar that re-parses to the
+identical configuration (``simulate`` writes ``paths_meta.json``: seed,
+model and grid); a run without one writes no files.
 
 Each config key is declared once, on the :class:`RunConfig` field holding
 it; parsing, serialization, the override flags and the key listing of
@@ -309,6 +311,10 @@ class RunConfig:
                 raise ValueError(
                     f"[study] eps_grid entries must be positive; got {e!r}"
                 )
+        if not (0.0 < self.tau_mr < math.inf):
+            raise ValueError(
+                f"[study] tau_mr must be positive and finite; got {self.tau_mr!r}"
+            )
 
     # -- builders -------------------------------------------------------------
 

@@ -22,7 +22,8 @@ import numpy as np
 from scipy import integrate
 
 from . import pricing
-from .gaussfunc import g_prime_sup, gaussian_profile, group_params, mean_FFp
+from .gaussfunc import (g_prime_sup, gaussian_profile, group_params, mean_FFp,
+                        sigma_bar)
 from .simulate import (
     FactorSampler,
     ModelParams,
@@ -103,13 +104,6 @@ def _pair_means(values: np.ndarray) -> np.ndarray:
 def _std_error(samples: np.ndarray) -> float:
     """Standard error of the sample mean (at least two samples)."""
     return float(samples.std(ddof=1) / math.sqrt(samples.size))
-
-
-def _stream_seed(seed: int, stream: int) -> int:
-    """Seed of substream ``stream`` of ``seed`` (one per epsilon of a study)."""
-    return int(np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(stream,)
-    ).generate_state(1, np.uint64)[0])
 
 
 def _loglog_slope(eps, values) -> float:
@@ -315,6 +309,18 @@ def _dyadic_grids(mp_base: ModelParams, eps: Sequence[float],
     return n_fine, models, grids, factors
 
 
+def _eps_sweep(mp_base: ModelParams, eps: Sequence[float], seed: int,
+               points_per_eps: int, warmup_mult: float):
+    """``(model, grid, seed)`` per epsilon: ``mp_base`` at that epsilon, its
+    grid, and the seed of substream ``k`` of ``seed`` for the ``k``-th."""
+    for stream, e in enumerate(eps):
+        mp = replace(mp_base, eps=e)
+        grid = SimGrid.for_model(mp, points_per_eps=points_per_eps,
+                                 warmup_mult=warmup_mult)
+        sub = np.random.SeedSequence(entropy=int(seed), spawn_key=(stream,))
+        yield mp, grid, int(sub.generate_state(1, np.uint64)[0])
+
+
 def _conditional_price(mp: ModelParams, svar, sxw, payoff) -> np.ndarray:
     """``E[payoff(X_T) | sigma, W]`` per path, from ``svar = int_0^T sigma^2
     dt`` and ``sxw = int_0^T sigma dW`` (arrays or scalars): ``X_T`` is then
@@ -511,9 +517,8 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     """Estimate E[sigma_0 vartheta_0] against its fast-scale limit.
 
     Per path the conditional expectation E[G'(Z_s) | time-0 info] is a
-    one-dimensional Gaussian integral with mean given by the history part
-    of the moving average (drawn through the sampler's history factor on
-    the fine grid) and variance ``sigma_ou^2 int_0^{s/eps} K^2``;
+    one-dimensional Gaussian integral over the factor's conditional law
+    on the fine grid, :meth:`~roughvol.simulate.FactorSampler.conditional_law`;
     :func:`roughvol.gaussfunc.gaussian_profile` evaluates it for every path
     and node from one smoothed table of ``G' = FF'``, with a checked error
     below ``1e-7 max|FF'|``.
@@ -532,12 +537,8 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     gp = group_params(mp)
     ke = sampler.ke
     n, kap = sampler.n, sampler.kappa
-    n_fine = kap * n
-    fine = sampler.delta / kap
     so = sampler.sig_ou
     vol = mp.vol_fn
-    masses = ke.cell_masses(fine, n_fine)
-    variances = so**2 * ke.ksq_cum_grid(fine, n_fine)
     i_int = None
     if t_interior is not None:
         if not (0.0 < t_interior < mp.maturity_T):
@@ -564,14 +565,13 @@ def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
     def at_node(block, i, col):
         """``(sigma_i, theta_i)`` per path at price node ``i`` from the
         increments before it; ``col`` is the column of its ``r`` draw."""
-        m = sampler.conditional_means(block[:, :n_g], block[:, n_g: n_g + kap * i],
-                                      fine=True)[:, kap * i:]
+        m, variances = sampler.conditional_law(
+            block[:, :n_g], block[:, n_g: n_g + kap * i], fine=True)
         z = m[:, 0] + so * (sampler.r_std * block[:, col]
                             + sampler.eta_std[i] * block[:, col + 1])
-        gprof = gaussian_profile(vol.ffp, mp.hurst, m,
-                                 variances[: n_fine + 1 - kap * i])
-        return vol(z), so * sqeps * _trapezoid_cells(gprof,
-                                                     masses[: n_fine - kap * i])
+        gprof = gaussian_profile(vol.ffp, mp.hurst, m, variances)
+        return vol(z), so * sqeps * _trapezoid_cells(
+            gprof, sampler.masses[: kap * (n - i)])
 
     samples, samples_cov, samples_int = [], [], []
     violations = 0
@@ -648,9 +648,9 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
     """Estimate E[phi_0^2], phi_0 = int_0^T E[G(Z_s)|time-0 info] ds.
 
     The conditional expectation ``E[G(Z_s) | time-0 info]``, with
-    ``G = (F^2 - sigma_bar^2)/2``, is Gaussian in the factor with the
-    history mean (drawn through the sampler's history factor) and
-    variance ``sigma_ou^2 int_0^{s/eps} K^2``, and comes from
+    ``G = (F^2 - sigma_bar^2)/2``, is an integral over the factor's
+    conditional law given the history,
+    :meth:`~roughvol.simulate.FactorSampler.conditional_law`, and comes from
     :func:`roughvol.gaussfunc.gaussian_profile` (checked error below
     ``1e-7 max|G|``).  The second moment must decay like
     ``eps^(2-2H)``; the report carries the fitted log-log slope and the
@@ -658,28 +658,21 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
     """
     eps = _check_dyadic(eps_grid)
     _check_se_paths("n_mc", n_mc)
-    gp = group_params(mp_base)
-    sb2 = gp.sigma_bar**2
     vol = mp_base.vol_fn
+    sb2 = sigma_bar(vol, mp_base.hurst)**2
 
     def g_fn(z):
         return 0.5 * (vol(z) ** 2 - sb2)
 
     mean_sq, mean_sq_se, means, mean_ses = [], [], [], []
-    for stream, e in enumerate(eps):
-        mp = replace(mp_base, eps=e)
-        grid = SimGrid.for_model(mp, points_per_eps=points_per_eps,
-                                 warmup_mult=warmup_mult)
+    for mp, grid, sub_seed in _eps_sweep(mp_base, eps, seed, points_per_eps,
+                                         warmup_mult):
         sampler = FactorSampler(mp, grid)
-        n = sampler.n
-        variances = sampler.sig_ou**2 * sampler.ke.ksq_cum_grid(sampler.delta, n)
-        trap_w = np.full(n + 1, grid.dt)
+        trap_w = np.full(sampler.n + 1, grid.dt)
         trap_w[0] = trap_w[-1] = 0.5 * grid.dt
         phis = []
-        for block in normal_blocks(_stream_seed(seed, stream), n_mc,
-                                   sampler.widths[0]):
-            m = sampler.conditional_means(block)
-            gprof = gaussian_profile(g_fn, mp.hurst, m, variances)
+        for block in normal_blocks(sub_seed, n_mc, sampler.widths[0]):
+            gprof = gaussian_profile(g_fn, mp.hurst, *sampler.conditional_law(block))
             phis.append(gprof @ trap_w)
         phi = np.concatenate(phis)
         sq = phi**2
@@ -734,23 +727,19 @@ def kappa_check(mp_base: ModelParams, eps_grid: Sequence[float],
     """
     eps = _check_dyadic(eps_grid)
     _check_se_paths("n_mc", n_mc)
-    gp = group_params(mp_base)
-    sb2 = gp.sigma_bar**2
+    sb2 = sigma_bar(mp_base.vol_fn, mp_base.hurst)**2
     sup_mean_sq, final_means, final_ses = [], [], []
-    for stream, e in enumerate(eps):
-        mp = replace(mp_base, eps=e)
-        grid = SimGrid.for_model(mp, points_per_eps=points_per_eps,
-                                 warmup_mult=warmup_mult)
+    for mp, grid, sub_seed in _eps_sweep(mp_base, eps, seed, points_per_eps,
+                                         warmup_mult):
         acc_sq = None
         finals = []
         count = 0
-        for bundle in simulate_paths(mp, grid, n_mc,
-                                     _stream_seed(seed, stream)):
+        for bundle in simulate_paths(mp, grid, n_mc, sub_seed):
             integrand = bundle.sigma**2 - sb2
             run = integrate.cumulative_trapezoid(
                 integrand, dx=grid.dt, axis=1, initial=0.0
             )
-            kpath = 0.5 * math.sqrt(e) * run
+            kpath = 0.5 * math.sqrt(mp.eps) * run
             sq_sum = (kpath**2).sum(axis=0)
             acc_sq = sq_sum if acc_sq is None else acc_sq + sq_sum
             finals.append(kpath[:, -1])

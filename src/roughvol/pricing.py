@@ -188,8 +188,8 @@ class TermStructureParams:
             raise ValueError(
                 f"regime must be one of {_REGIMES}; got {self.regime!r}"
             )
-        if not (self.tau_mr > 0.0 and self.tau_bar > 0.0):
-            raise ValueError("tau_mr and tau_bar must be positive")
+        if not (0.0 < self.tau_mr < math.inf and 0.0 < self.tau_bar < math.inf):
+            raise ValueError("tau_mr and tau_bar must be positive and finite")
         if not math.isfinite(self.delta_sigma):
             raise ValueError("delta_sigma must be finite")
 

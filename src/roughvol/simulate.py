@@ -389,9 +389,9 @@ class FactorSampler:
         sub-steps per price step.
     delta : float
         ``dt / eps``.
-    w_conv : ndarray
-        ``M'_k / sqrt(delta')`` for the fine cells ``k`` of the warmup and
-        ``[0, T]``.
+    masses, w_conv : ndarray
+        The kernel masses ``M'_k`` of the fine cells ``k`` of the warmup
+        and ``[0, T]``, and ``M'_k / sqrt(delta')``.
     r_std : float
         Std of the nearest-fine-cell variance repair.
     eta_std : ndarray or None
@@ -416,11 +416,11 @@ class FactorSampler:
         self.kappa = kap = _OVERSAMPLE
         self.delta = grid.dt / mp.eps
         fine = self.delta / kap
-        masses = ke.cell_masses(fine, kap * (self.n_w + n))
+        self.masses = masses = ke.cell_masses(fine, kap * (self.n_w + n))
         self.w_conv = masses / math.sqrt(fine)
         self.r_std = math.sqrt(max(ke.ksq_first_cell(fine) - masses[0] ** 2 / fine,
                                    0.0))
-        self._factors = {}  # fine -> history factor, see history_factor
+        self._factors, self._variances = {}, {}  # by fine: see their methods
         if zero_start:
             self.eta_std = None
             self.widths = (0, n, 0)
@@ -518,18 +518,26 @@ class FactorSampler:
             z[:, 0] = 0.0
         return z
 
-    def conditional_means(self, g: np.ndarray, xi: Optional[np.ndarray] = None,
-                          fine: bool = False) -> np.ndarray:
-        """E[Z_s | the history before 0 and the increments ``xi`` since 0].
-
-        ``g`` holds the history normals (``history_factor(fine).shape[0]``
-        columns) and ``xi`` the first fine increments on ``[0, T]`` (none by
-        default).  Evaluated at the price nodes, or with ``fine=True`` at
-        every node of the ``kappa``-times finer sub-grid.
-        """
+    def conditional_law(self, g: np.ndarray, xi: Optional[np.ndarray] = None,
+                        fine: bool = False):
+        """``(means, variances)`` of ``Z_s`` given the history normals ``g``
+        (``history_factor(fine).shape[0]`` columns) and the first fine
+        increments ``xi`` on ``[0, T]`` (none by default; whole steps), at
+        the price nodes, or with ``fine=True`` the ``kappa``-times finer
+        nodes, from the node where ``xi`` ends.  Given that past ``Z_s`` is
+        Gaussian: the mean is ``sigma_ou`` times the moving sum (no
+        repairs), the variance ``sigma_ou^2 int_0^{(s - t)/eps} K^2`` with
+        ``t`` the end of ``xi``; the variances are built once and kept."""
         if xi is None:
             xi = np.empty((g.shape[0], 0))
-        return self.sig_ou * self._moving_sum(g, xi, fine)
+        step = 1 if fine else self.kappa
+        if fine not in self._variances:
+            spacing = self.delta / self.kappa if fine else self.delta
+            self._variances[fine] = self.sig_ou**2 * self.ke.ksq_cum_grid(
+                spacing, self.kappa * self.n // step)
+        start = xi.shape[1] // step
+        means = (self.sig_ou * self._moving_sum(g, xi, fine))[:, start:]
+        return means, self._variances[fine][: means.shape[1]]
 
     @staticmethod
     def block_sums(xi: np.ndarray, m: int) -> np.ndarray:

@@ -270,6 +270,15 @@ def test_infinite_maturity_in_config_is_config_error(tmp_path, capsys):
     assert "config error" in err and "maturity_T" in err
 
 
+@pytest.mark.parametrize("value", ["0", "Infinity"])
+def test_bad_tau_mr_in_config_is_config_error(tmp_path, capsys, value):
+    # rejected at load, where study termstructure used to fail at run time
+    path = tmp_path / "tau.ini"
+    path.write_text(f"[study]\ntau_mr = {value}\n")
+    assert cli.main(["params", "--config", str(path)]) == 2
+    assert "[study] tau_mr" in capsys.readouterr().err
+
+
 # -- params command --------------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from roughvol.gaussfunc import (
 from roughvol.kernel import KernelEval
 from roughvol.pricing import Call, bs_price, smooth_ramp
 from roughvol.simulate import ModelParams, SimGrid, concat_bundles, simulate_paths
+from roughvol import experiments
 from roughvol.experiments import (
     ConvergenceReport,
     MCEstimate,
@@ -415,6 +416,18 @@ def test_kappa_serialization(kappa_report):
     data = json.loads(kappa_report.to_json())
     assert data["report"] == "KappaReport"
     assert "slope_floor" in kappa_report.to_text()
+
+
+def test_phi_and_kappa_checks_do_not_run_the_d_bar_series(monkeypatch):
+    # both read sigma_bar alone, so neither needs group_params
+    def no_group_params(mp):
+        raise AssertionError("group_params was called")
+
+    monkeypatch.setattr(experiments, "group_params", no_group_params)
+    mp = make_model()
+    phi = phi_variance_check(mp, (0.08, 0.04, 0.02, 0.01), n_mc=16, seed=3)
+    kap = kappa_check(mp, (0.08, 0.04, 0.02, 0.01), n_mc=16, seed=3)
+    assert len(phi.mean_sq) == len(kap.sup_mean_sq) == 4
 
 
 # -- smile ------------------------------------------------------------------------

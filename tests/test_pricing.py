@@ -414,6 +414,9 @@ def test_term_structure_params_validation():
         TermStructureParams("SmallAmplitude", -1.0, 0.1, 50.0)
     with pytest.raises(ValueError):
         TermStructureParams("SmallAmplitude", 1.0, math.nan, 50.0)
+    for times in ((math.inf, 50.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="must be positive"):
+            TermStructureParams("SmallAmplitude", times[0], 0.1, times[1])
 
 
 def test_term_structure_factor_limits():

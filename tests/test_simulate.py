@@ -502,6 +502,35 @@ def test_factor_matches_direct_moving_sum(zero_start):
         assert np.all(z[:, 0] == 0.0)
 
 
+def test_conditional_law_is_the_moving_sum_and_its_variance():
+    # from the node where xi ends: sig_ou times the moving sum, and
+    # sig_ou^2 int_0^((s - t)/eps) K^2 on the same grid step
+    mp = make_model()
+    s = FactorSampler(mp, SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0))
+    so, kap, n = s.sig_ou, s.kappa, s.n
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((6, s.history_factor().shape[0]))
+    means, variances = s.conditional_law(g)
+    assert np.array_equal(means, so * s._moving_sum(g, np.empty((6, 0)), False))
+    assert np.array_equal(variances, so**2 * s.ke.ksq_cum_grid(s.delta, n))
+    g = rng.standard_normal((6, s.history_factor(fine=True).shape[0]))
+    full = so**2 * s.ke.ksq_cum_grid(s.delta / kap, kap * n)
+    for i in (0, n // 3):
+        xi = rng.standard_normal((6, kap * i))
+        means, variances = s.conditional_law(g, xi, fine=True)
+        assert means.shape == (6, kap * (n - i) + 1)
+        assert np.array_equal(means, (so * s._moving_sum(g, xi, True))[:, kap * i:])
+        assert np.array_equal(variances, full[: kap * (n - i) + 1])
+
+
+def test_sampler_masses_are_the_fine_cell_masses():
+    mp = make_model()
+    s = FactorSampler(mp, SimGrid.for_model(mp))
+    fine, m = s.delta / s.kappa, s.kappa * s.n
+    assert np.array_equal(s.masses[:m], s.ke.cell_masses(fine, m))
+    assert np.array_equal(s.w_conv, s.masses / math.sqrt(fine))
+
+
 def test_rl_reproducible():
     mp = make_model(maturity_T=0.2)
     grid = SimGrid.for_model(mp)
