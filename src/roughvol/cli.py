@@ -242,7 +242,8 @@ class RunConfig:
     vol_params: tuple = _VOL.params_default()
     points_per_eps: int = _key("grid", _integer, 8)
     warmup_mult: float = _key("grid", _number, 30.0)
-    scheme: str = _key("grid", _text, "TruncatedMovingAverage")
+    scheme: str = _key("grid", _text, "TruncatedMovingAverage",
+                       note='"CholeskyExact": price and simulate only')
     payoff_type: str = _PAYOFF.type_field()
     payoff_params: tuple = _PAYOFF.params_default()
     eps_grid: tuple = _key("study", _numbers, (0.1, 0.05, 0.025, 0.0125))
@@ -257,9 +258,6 @@ class RunConfig:
         "study", _number, None, note="null: vartheta checks t = 0 only")
     strikes_rel: tuple = _key("study", _numbers, (0.94, 0.97, 1.0, 1.03, 1.06))
     tau_mr: float = _key("study", _number, 1.0)
-    delta_sigma: float = _key(
-        "study", _number, 0.1,
-        note="read by no study; kept so existing configs load and hash unchanged")
     out_dir: Optional[str] = _key("output", _text, None, key="dir", flag="--out",
                                   note="null: print only, write no files")
     formats: tuple = _key("output", _formats, _FORMATS, flag="--format")
@@ -542,12 +540,13 @@ def cmd_study(cfg: RunConfig, which: str):
     if which not in _STUDIES:
         raise ValueError(f"unknown study {which!r}; expected one of {_STUDIES}")
     if which == "termstructure":
-        return experiments.termstructure_study(
-            cfg.hurst, tau_mr=cfg.tau_mr, delta_sigma=cfg.delta_sigma
-        )
+        return experiments.termstructure_study(cfg.hurst, tau_mr=cfg.tau_mr)
     mp = cfg.model()
     if which == "smile":
         return experiments.smile_study(mp, cfg.eps_grid, cfg.strikes_rel)
+    if cfg.scheme != "TruncatedMovingAverage":
+        raise ValueError(f"study {which} runs the moving-average scheme only; "
+                         f"got [grid] scheme = {cfg.scheme!r}")
     n_mc = cfg.n_paths or _DEFAULT_PATHS[which]
     if which == "vartheta":
         return experiments.vartheta_check(

@@ -867,26 +867,20 @@ class TermStructureReport(_ReportMixin):
 
 
 def termstructure_study(hurst: float, tau_mr: float = 1.0,
-                        tau_bar: float = 1.0,
-                        delta_sigma: float = 0.1) -> TermStructureReport:
+                        tau_bar: float = 1.0) -> TermStructureReport:
     """Short- and long-maturity slopes of the amplitude factor, plus the
-    characteristic exponents for the three modelling regimes.  The report
-    does not depend on ``delta_sigma``: it is read by no study, and kept so
-    existing calls and configs load and hash unchanged."""
-    ts = pricing.TermStructureParams(
-        regime="FastMeanReverting", tau_mr=tau_mr, delta_sigma=delta_sigma,
-        tau_bar=tau_bar,
-    )
+    characteristic exponents for the three modelling regimes."""
     h = float(hurst)
 
+    def factors_at(taus):
+        return [pricing.term_structure_factor(t, h, tau_mr, tau_bar) for t in taus]
+
     def slope(taus):
-        vals = [pricing.term_structure_factor(t, ts, h) for t in taus]
-        return float(np.polyfit(np.log(taus), np.log(np.abs(vals)), 1)[0])
+        return float(np.polyfit(np.log(taus), np.log(np.abs(factors_at(taus))), 1)[0])
 
     short_taus = tau_mr * np.array([1e-4, 2e-4, 5e-4, 1e-3])
     long_taus = tau_mr * np.array([1e3, 2e3, 5e3, 1e4])
     table_taus = tau_mr * np.geomspace(1e-4, 1e4, 17)
-    factors = [pricing.term_structure_factor(t, ts, h) for t in table_taus]
     return TermStructureReport(
         hurst=h,
         tau_mr=tau_mr,
@@ -899,5 +893,5 @@ def termstructure_study(hurst: float, tau_mr: float = 1.0,
         zeta_slow=pricing.zeta_exponent(h, "SlowMeanReverting"),
         zeta_small_amplitude=pricing.zeta_exponent(h, "SmallAmplitude"),
         taus=tuple(float(t) for t in table_taus),
-        factors=tuple(float(f) for f in factors),
+        factors=tuple(float(f) for f in factors_at(table_taus)),
     )

@@ -397,14 +397,14 @@ def sigma_bar(vol_fn: VolFunction, hurst) -> float:
     return math.sqrt(mean_f2)
 
 
-def g_prime_sup(vol_fn: VolFunction, z_range: float = 40.0) -> float:
-    """Supremum of ``|G'| = |F F'|`` (dense-grid scan over the factor range).
+def g_prime_sup(vol_fn: VolFunction) -> float:
+    """Supremum of ``|G'| = |F F'|`` (dense-grid scan of ``[-40, 40]``).
 
     ``G(z) = (F(z)^2 - sigma_bar^2)/2`` drives every remainder bound; its
     derivative's sup norm enters the pathwise bound on the martingale
     correction term.
     """
-    z = np.linspace(-z_range, z_range, 40001)
+    z = np.linspace(-40.0, 40.0, 40001)
     return float(np.max(np.abs(vol_fn.ffp(z))))
 
 

@@ -15,7 +15,7 @@ log-moneyness,
         + log(K/x) / (sigma_bar^3 (T-t))],
 
 and the term-structure utilities expose the characteristic exponent
-``zeta`` and the maturity factor ``A`` for the three regimes.
+``zeta`` of the three regimes and the maturity factor ``A``.
 """
 
 from __future__ import annotations
@@ -34,14 +34,12 @@ __all__ = [
     "SmoothCustom",
     "smooth_ramp",
     "PriceResult",
-    "TermStructureParams",
     "bs_price",
     "bs_operator_greeks",
     "first_order_price",
     "corrected_price",
     "implied_vol_invert",
     "implied_vol_asymptotic",
-    "implied_vol_general",
     "zeta_exponent",
     "term_structure_factor",
 ]
@@ -159,39 +157,6 @@ class PriceResult:
     q_eps: float
     implied_vol_inverted: Optional[float]
     implied_vol_asymptotic: Optional[float]
-
-
-@dataclass(frozen=True)
-class TermStructureParams:
-    """Inputs of the term-structure reporting formula.
-
-    Attributes
-    ----------
-    regime : str
-        One of ``FastMeanReverting``, ``SlowMeanReverting``,
-        ``SmallAmplitude``.
-    tau_mr : float
-        Mean-reversion time (years).
-    delta_sigma : float
-        Smile-amplitude parameter (free reporting input).
-    tau_bar : float
-        Characteristic diffusion time (years).
-    """
-
-    regime: str
-    tau_mr: float
-    delta_sigma: float
-    tau_bar: float
-
-    def __post_init__(self):
-        if self.regime not in _REGIMES:
-            raise ValueError(
-                f"regime must be one of {_REGIMES}; got {self.regime!r}"
-            )
-        if not (0.0 < self.tau_mr < math.inf and 0.0 < self.tau_bar < math.inf):
-            raise ValueError("tau_mr and tau_bar must be positive and finite")
-        if not math.isfinite(self.delta_sigma):
-            raise ValueError("delta_sigma must be finite")
 
 
 def _market(x, sigma, tau: float):
@@ -389,7 +354,8 @@ def zeta_exponent(h: float, regime: str) -> float:
     return h + 0.5
 
 
-def term_structure_factor(tau: float, ts: TermStructureParams, h: float) -> float:
+def term_structure_factor(tau: float, h: float, tau_mr: float,
+                          tau_bar: float) -> float:
     """Maturity factor ``A(tau/tau_bar, tau/tau_mr)`` of the smile level.
 
     ``A = (tau/tau_bar)^(H+1/2) * (1 - int_0^u exp(-v) (1 - v/u)^(H+3/2) dv)``
@@ -400,31 +366,13 @@ def term_structure_factor(tau: float, ts: TermStructureParams, h: float) -> floa
         raise ValueError(f"tau must be positive; got {tau!r}")
     if not (0.0 < h < 1.0):
         raise ValueError(f"h must lie in (0, 1); got {h!r}")
-    u = tau / ts.tau_mr
+    if not (0.0 < tau_mr < math.inf and 0.0 < tau_bar < math.inf):
+        raise ValueError("tau_mr and tau_bar must be positive and finite")
+    u = tau / tau_mr
     c = h + 1.5
     # integrand decays like exp(-v); beyond v=50 the contribution is < 2e-22
     upper = min(u, 50.0)
     val, _ = integrate.quad(
         lambda v: math.exp(-v) * (1.0 - v / u) ** c, 0.0, upper, limit=200
     )
-    return (tau / ts.tau_bar) ** (h + 0.5) * (1.0 - val)
-
-
-def implied_vol_general(x, strike, tau: float, ts: TermStructureParams,
-                        h: float, sigma_level: float):
-    """Term-structure reporting formula for the implied volatility.
-
-    ``I = sigma_level + delta_sigma [ (tau/tau_bar)^zeta
-    + (tau/tau_bar)^(zeta-1) log(K/x) ]`` with ``zeta`` from the regime;
-    vectorized in ``strike``.  ``delta_sigma`` is a free reporting
-    parameter (the within-regime constant is not pinned down here).
-    """
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be positive; got {tau!r}")
-    if np.any(np.asarray(x) <= 0.0) or np.any(np.asarray(strike) <= 0.0):
-        raise ValueError("spot and strike must be positive")
-    zeta = zeta_exponent(h, ts.regime)
-    ratio = tau / ts.tau_bar
-    k = np.log(np.asarray(strike, dtype=float) / x)
-    out = sigma_level + ts.delta_sigma * (ratio**zeta + ratio ** (zeta - 1.0) * k)
-    return float(out) if np.ndim(strike) == 0 else out
+    return (tau / tau_bar) ** (h + 0.5) * (1.0 - val)

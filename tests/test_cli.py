@@ -90,9 +90,9 @@ def test_config_hash_tracks_content(ini_path):
 
 def test_config_hashes_pinned():
     # the hash keys every emitted artifact: a change here re-keys them all
-    assert config_hash(RunConfig()) == "5b1bc131fc32"
+    assert config_hash(RunConfig()) == "f39f75e8a98a"
     example = Path(__file__).resolve().parents[1] / "demos" / "example_config.ini"
-    assert config_hash(load_config(str(example))) == "8fcf9a0f490c"
+    assert config_hash(load_config(str(example))) == "0d7ffb1594b4"
 
 
 # one entry per config key, at a non-default value:
@@ -126,7 +126,6 @@ EVERY_KEY = [
     ("study", {"t_interior": 0.5}, "t_interior", 0.5),
     ("study", {"strikes_rel": [0.9, 1.1]}, "strikes_rel", (0.9, 1.1)),
     ("study", {"tau_mr": 2.0}, "tau_mr", 2.0),
-    ("study", {"delta_sigma": 0.2}, "delta_sigma", 0.2),
     ("output", {"dir": "results"}, "out_dir", "results"),
     ("output", {"formats": ["json"]}, "formats", ("json",)),
 ]
@@ -135,7 +134,7 @@ EVERY_KEY_NAMES = {(section, key) for section, entries, _, _ in EVERY_KEY
 
 
 def test_every_key_has_a_round_trip_case():
-    assert len(EVERY_KEY_NAMES) == 28
+    assert len(EVERY_KEY_NAMES) == 27
     assert EVERY_KEY_NAMES == {(section, key)
                                for section, keys in cli._SECTIONS.items()
                                for key in keys}
@@ -178,7 +177,7 @@ def test_help_lists_every_key_and_its_default(capsys):
     for line in ("x0 = 1.0", "points_per_eps = 8", "warmup_mult = 30.0",
                  'scheme = "TruncatedMovingAverage"', "seed = 0", "t = 0.0",
                  "strikes_rel = [0.94, 0.97, 1.0, 1.03, 1.06]", "tau_mr = 1.0",
-                 "delta_sigma = 0.1", "vol_value = 0.3", "center = 1.0",
+                 "vol_value = 0.3", "center = 1.0",
                  "width = 0.2", "height = 1.0"):
         assert f"  {line}" in text
     for budget in ("price 200,000", "convergence 200,000", "vartheta 20,000",
@@ -277,6 +276,14 @@ def test_bad_tau_mr_in_config_is_config_error(tmp_path, capsys, value):
     path.write_text(f"[study]\ntau_mr = {value}\n")
     assert cli.main(["params", "--config", str(path)]) == 2
     assert "[study] tau_mr" in capsys.readouterr().err
+
+
+def test_removed_delta_sigma_key_is_config_error(tmp_path, capsys):
+    path = tmp_path / "ds.ini"
+    path.write_text("[study]\ndelta_sigma = 0.1\n")
+    assert cli.main(["study", "termstructure", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key" in err and "delta_sigma" in err
 
 
 # -- params command --------------------------------------------------------------
@@ -545,3 +552,15 @@ def test_study_convergence_uses_points_per_eps(tmp_path):
     assert bodies[0][0] == bodies[1][0]
     assert len(bodies[0]) == len(bodies[1]) == 5
     assert bodies[0] != bodies[1]
+
+
+@pytest.mark.parametrize("which", ["vartheta", "phi", "kappa", "convergence"])
+def test_simulating_study_rejects_exact_scheme(tmp_path, capsys, which):
+    # these studies run the moving-average scheme whatever the grid says, so
+    # a CholeskyExact grid is refused rather than changing only the hash
+    path = tmp_path / "exact.ini"
+    path.write_text('[grid]\nscheme = "CholeskyExact"\n')
+    assert cli.main(["study", which, "--config", str(path), "--paths", "16",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "[grid] scheme" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -5,19 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from roughvol.gaussfunc import GroupParams
+from roughvol.kernel import KernelEval
 from roughvol.pricing import (
     Call,
     PriceResult,
     SmoothCustom,
-    TermStructureParams,
     bs_operator_greeks,
     bs_price,
     corrected_price,
     first_order_price,
     implied_vol_asymptotic,
-    implied_vol_general,
     implied_vol_invert,
     smooth_ramp,
     term_structure_factor,
@@ -407,59 +407,47 @@ def test_zeta_exponent_values_and_continuity():
         zeta_exponent(0.3, "Sideways")
 
 
-def test_term_structure_params_validation():
-    with pytest.raises(ValueError):
-        TermStructureParams("Sideways", 1.0, 0.1, 50.0)
-    with pytest.raises(ValueError):
-        TermStructureParams("SmallAmplitude", -1.0, 0.1, 50.0)
-    with pytest.raises(ValueError):
-        TermStructureParams("SmallAmplitude", 1.0, math.nan, 50.0)
-    for times in ((math.inf, 50.0), (1.0, math.inf)):
+def test_term_structure_factor_validation():
+    for times in ((-1.0, 50.0), (0.0, 50.0), (1.0, -50.0), (math.inf, 50.0),
+                  (1.0, math.inf), (math.nan, 50.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="must be positive"):
-            TermStructureParams("SmallAmplitude", times[0], 0.1, times[1])
+            term_structure_factor(1.0, 0.3, *times)
 
 
 def test_term_structure_factor_limits():
-    ts = TermStructureParams("SmallAmplitude", tau_mr=2.0, delta_sigma=0.1,
-                             tau_bar=50.0)
-    h = 0.3
+    tau_mr, tau_bar, h = 2.0, 50.0, 0.3
     # short maturities: A -> (tau/tau_bar)^(H+1/2)
-    tau = 0.01 * ts.tau_mr
-    ratio = term_structure_factor(tau, ts, h) / (tau / ts.tau_bar) ** (h + 0.5)
+    tau = 0.01 * tau_mr
+    ratio = (term_structure_factor(tau, h, tau_mr, tau_bar)
+             / (tau / tau_bar) ** (h + 0.5))
     assert 0.98 < ratio <= 1.0
     # long maturities: log-log slope -> H - 1/2
-    taus = np.array([1000.0, 1100.0]) * ts.tau_mr
-    vals = [term_structure_factor(t, ts, h) for t in taus]
+    taus = np.array([1000.0, 1100.0]) * tau_mr
+    vals = [term_structure_factor(t, h, tau_mr, tau_bar) for t in taus]
     slope = (math.log(vals[1]) - math.log(vals[0])) / math.log(taus[1] / taus[0])
     assert slope == pytest.approx(h - 0.5, abs=2e-3)
     # positive and continuous across the integrand truncation point
-    near = [term_structure_factor(49.9 * ts.tau_mr, ts, h),
-            term_structure_factor(50.1 * ts.tau_mr, ts, h)]
+    near = [term_structure_factor(49.9 * tau_mr, h, tau_mr, tau_bar),
+            term_structure_factor(50.1 * tau_mr, h, tau_mr, tau_bar)]
     assert abs(near[1] - near[0]) / abs(near[0]) < 1e-2
     with pytest.raises(ValueError):
-        term_structure_factor(-1.0, ts, h)
+        term_structure_factor(-1.0, h, tau_mr, tau_bar)
     with pytest.raises(ValueError):
-        term_structure_factor(1.0, ts, 1.5)
+        term_structure_factor(1.0, 1.5, tau_mr, tau_bar)
 
 
-def test_implied_vol_general_affine_and_regimes():
-    ts = TermStructureParams("SlowMeanReverting", 2.0, 0.05, 50.0)
-    strikes = np.array([0.8, 1.0, 1.25])
-    tau, h, level = 1.0, 0.3, 0.2
-    ivs = implied_vol_general(1.0, strikes, tau, ts, h, level)
-    k = np.log(strikes)
-    slope = (ivs[2] - ivs[0]) / (k[2] - k[0])
-    want_slope = ts.delta_sigma * (tau / ts.tau_bar) ** (
-        zeta_exponent(h, ts.regime) - 1.0
-    )
-    assert slope == pytest.approx(want_slope, rel=1e-12)
-    assert ivs[1] == pytest.approx(ivs[0] + slope * (k[1] - k[0]), rel=1e-12)
-    atm = implied_vol_general(1.0, 1.0, tau, ts, h, level)
-    want_atm = level + ts.delta_sigma * (tau / ts.tau_bar) ** zeta_exponent(
-        h, ts.regime
-    )
-    assert atm == pytest.approx(want_atm, rel=1e-14)
-    with pytest.raises(ValueError):
-        implied_vol_general(1.0, 1.0, 0.0, ts, h, level)
-    with pytest.raises(ValueError):
-        implied_vol_general(-1.0, 1.0, 1.0, ts, h, level)
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.3, 0.45])
+def test_maturity_factor_is_the_integrated_kernel_horizon_term(h):
+    # eps int_0^(tau/eps) IK(v) dv = tau eps^-(H+1/2) A(tau)
+    #                                / (sigma_ou Gamma(H+5/2)),
+    # with A the maturity factor at tau_mr = eps and tau_bar = 1
+    ke = KernelEval(h)
+    for eps in (0.05, 0.0125):
+        for tau in (1e-3, 0.1, 1.0, 10.0):
+            u = tau / eps
+            breaks = [p for p in (1.0, 60.0, 600.0) if p < u] or None
+            lhs = eps * integrate.quad(ke.integrated_K, 0.0, u, points=breaks,
+                                       epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            rhs = (tau * eps ** -(h + 0.5) * term_structure_factor(tau, h, eps, 1.0)
+                   / (ke.sigma_ou * special.gamma(h + 2.5)))
+            assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0), (eps, tau)
