@@ -40,8 +40,10 @@ from scipy import integrate
 
 from . import _thread_count, experiments, pricing
 from .experiments import _ReportMixin
-from .gaussfunc import BoundedSigmoid, ConstantVol, d_bar, moments
-from .kernel import CovarianceEval, KernelEval
+from .gaussfunc import BoundedSigmoid, ConstantVol, group_params
+# not used here: bench/test_bench.py asserts that cli binds this name
+from .gaussfunc import d_bar  # noqa: F401
+from .kernel import KernelEval
 from .simulate import (
     ModelParams,
     SimGrid,
@@ -412,7 +414,7 @@ class ParamsReport(_ReportMixin):
     d_bar: float
     tau_bar: float
     mean_F: float
-    mean_F2: float
+    var_F: float
     mean_Fp: float
     mean_Fp2: float
     kernel_sq_residual: float
@@ -422,7 +424,7 @@ class ParamsReport(_ReportMixin):
 
     def table(self):
         names = ("sigma_bar", "d_bar", "tau_bar",
-                 "mean_F", "mean_F2", "mean_Fp", "mean_Fp2")
+                 "mean_F", "var_F", "mean_Fp", "mean_Fp2")
         return (("parameter", "value"),
                 [(n, getattr(self, n)) for n in names])
 
@@ -454,36 +456,26 @@ class PriceReport(_ReportMixin):
 
 def cmd_params(cfg: RunConfig) -> ParamsReport:
     """Group parameters sigma_bar, d_bar, tau_bar and Gaussian moments."""
-    vol = cfg.vol_fn()
-    mean_f, mean_f2, mean_fp, mean_fp2 = moments(vol, cfg.hurst)
+    mp = cfg.model()
+    gp = group_params(mp)
     ke = KernelEval(cfg.hurst)
     # honest normalization probe: adaptive quadrature across the kernel's
     # evaluation branches against the independent series tail
     head = ke.ksq_first_cell(1.0)
     mid, _ = integrate.quad(lambda u: float(ke.kernel_K(u)) ** 2, 1.0, 70.0,
                             epsabs=1e-13, epsrel=1e-11, limit=200)
-    kernel_residual = abs(head + mid + ke.ksq_tail(70.0) - 1.0)
-    if mean_fp2 == 0.0:
-        dbar, diag = 0.0, None
-    else:
-        dbar, diag = d_bar(vol, ke, CovarianceEval(cfg.hurst),
-                           return_diagnostics=True)
+    diag = gp.d_bar_diagnostics or {}
     return ParamsReport(
         hurst=cfg.hurst,
         eps=cfg.eps,
         rho=cfg.rho,
-        vol=repr(vol),
-        sigma_bar=math.sqrt(mean_f2),
-        d_bar=dbar,
-        tau_bar=2.0 / mean_f2,
-        mean_F=mean_f,
-        mean_F2=mean_f2,
-        mean_Fp=mean_fp,
-        mean_Fp2=mean_fp2,
-        kernel_sq_residual=kernel_residual,
-        dbar_truncation_bound=None if diag is None else diag["truncation_bound"],
-        dbar_tail_bound=None if diag is None else diag["tail_bound"],
-        dbar_s_max=None if diag is None else diag["s_max"],
+        vol=repr(mp.vol_fn),
+        # every number of gp; its d_bar bounds are the dbar_* fields
+        **{f.name: getattr(gp, f.name) for f in fields(gp) if f.compare},
+        kernel_sq_residual=abs(head + mid + ke.ksq_tail(70.0) - 1.0),
+        dbar_truncation_bound=diag.get("truncation_bound"),
+        dbar_tail_bound=diag.get("tail_bound"),
+        dbar_s_max=diag.get("s_max"),
     )
 
 
@@ -495,7 +487,7 @@ def cmd_price(cfg: RunConfig) -> PriceReport:
     is the payoff at spot.
     """
     mp = cfg.model()
-    gp = experiments.group_params(mp)
+    gp = group_params(mp)
     payoff = cfg.payoff_fn()
     res = pricing.corrected_price(mp, gp, payoff, cfg.t)
     est = None

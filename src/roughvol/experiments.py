@@ -806,6 +806,9 @@ def smile_study(mp_base: ModelParams, eps_grid: Sequence[float],
     if mp_base.rho == 0.0:
         raise ValueError("smile slope recovery requires rho != 0")
     gp = group_params(mp_base)
+    if gp.d_bar == 0.0:
+        raise ValueError("smile slope recovery requires d_bar != 0; "
+                         f"{mp_base.vol_fn!r} has no correction")
     tau = mp_base.maturity_T
     x0 = mp_base.x0
     points = []

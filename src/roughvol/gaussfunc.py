@@ -29,7 +29,8 @@ profiles smooth one table of ``G`` on the same nodes at half the step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy import fft, interpolate, special
@@ -281,7 +282,7 @@ class TabulatedVol(VolFunction):
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Derived market-group parameters of the model.
+    """Derived market-group parameters of the model, from :func:`group_params`.
 
     Attributes
     ----------
@@ -295,6 +296,11 @@ class GroupParams:
         Stationary mean and variance of the volatility.
     mean_Fp, mean_Fp2 : float
         ``<F'>`` and ``<F'^2>`` under the stationary Gaussian law.
+    d_bar_diagnostics : dict or None
+        The bounds :func:`d_bar` returns with its value; None when
+        ``<F'^2> = 0`` (constant vol), where ``d_bar = 0`` without the
+        series.  Neither compared nor hashed, so parameters built from the
+        seven numbers alone equal those :func:`group_params` returns.
     """
 
     sigma_bar: float
@@ -304,6 +310,7 @@ class GroupParams:
     var_F: float
     mean_Fp: float
     mean_Fp2: float
+    d_bar_diagnostics: Optional[dict] = field(default=None, compare=False)
 
 
 # The standard-normal rule every functional below uses: the trapezoid rule
@@ -317,6 +324,7 @@ class GroupParams:
 _Z = np.linspace(-16.0, 16.0, 3201)
 _W = 0.01 * np.exp(-0.5 * _Z * _Z) / math.sqrt(2.0 * math.pi)
 _N_TERMS = 1000  # terms of the Mehler series for d_bar and Psi
+_S_MAX = 2000.0  # d_bar's horizon, in fast-scale time; the tail beyond is linearized
 # Absolute error the fixed rule is held to.  For an analytic vol function,
 # geometric convergence makes the step-0.02 rule's error about the square
 # root of the step-0.01 rule's, in units of the integrand's peak, so the full
@@ -393,8 +401,8 @@ def _hermite_projection(vol_fn, *values):
 
 def sigma_bar(vol_fn: VolFunction, hurst) -> float:
     """Effective volatility ``sqrt(<F^2>)`` (the leading-order implied vol)."""
-    _, mean_f2, _, _ = moments(vol_fn, hurst)
-    return math.sqrt(mean_f2)
+    f = vol_fn(sigma_ou(hurst) * _Z)
+    return math.sqrt(_expect(vol_fn, f * f))
 
 
 def g_prime_sup(vol_fn: VolFunction) -> float:
@@ -408,14 +416,10 @@ def g_prime_sup(vol_fn: VolFunction) -> float:
     return float(np.max(np.abs(vol_fn.ffp(z))))
 
 
-def d_bar(
-    vol_fn: VolFunction,
-    ke: KernelEval,
-    ce: CovarianceEval,
-    s_max: float = 2000.0,
-    return_diagnostics: bool = False,
-):
-    """Correction coefficient ``d_bar`` as a Mehler--Hermite series.
+def d_bar(vol_fn: VolFunction, hurst):
+    """Correction coefficient ``d_bar`` as a Mehler--Hermite series, and
+    its diagnostics: ``(value, {"s_max", "tail_estimate", "tail_bound",
+    "truncation_bound", "lambda_at_zero", "n_terms"})``.
 
     Evaluates ``sigma_ou * int_0^infty (Lambda(C_Z(s)) - Lambda(0)) K(s) ds``
     where ``Lambda(c) = E[F(sigma_ou Z) (FF')(sigma_ou Z')]`` at correlation
@@ -429,9 +433,9 @@ def d_bar(
         d_bar = sigma_ou (sum_{k=1}^{N} alpha_k beta_k mu_k + tail),
 
     with ``N = 1000`` and ``mu_k = int_0^s_max C_Z^k K ds`` from a running
-    power of ``C_Z`` on the kernel-weighted rule ``ke.kernel_rule(s_max)``
-    (graded toward ``s = 0`` for the ``s^(2H)`` correlation cusp).
-    ``tail`` is the linearized integral
+    power of ``C_Z`` on the kernel-weighted rule ``kernel_rule(s_max)``
+    (graded toward ``s = 0`` for the ``s^(2H)`` correlation cusp), where
+    ``s_max = 2000``.  ``tail`` is the linearized integral
     beyond ``s_max`` (the exact slope ``Lambda'(0) = alpha_1 beta_1`` times
     the asymptotic powers of ``C_Z`` and ``K``), bounded by twice its
     magnitude.  By Cauchy--Schwarz the truncation after ``N`` terms is
@@ -445,17 +449,15 @@ def d_bar(
         If the tail bound plus the truncation bound exceeds the absolute
         tolerance ``1e-7 * sigma_max^3``, with the numbers in the message.
     """
-    if s_max < 50.0:
-        raise ValueError(f"s_max must be >= 50; got {s_max!r}")
-    h = ke.hurst
-    so = ke.sigma_ou
+    ke = KernelEval(hurst)
+    h, so, s_max = ke.hurst, ke.sigma_ou, _S_MAX
 
     (alpha, rem_alpha), (beta, rem_beta) = _hermite_projection(
         vol_fn, vol_fn(so * _Z), vol_fn.ffp(so * _Z))
     coef = (alpha * beta).tolist()
 
     s_all, wk = ke.kernel_rule(s_max)
-    c = ce.cov_CZ(s_all)
+    c = CovarianceEval(hurst).cov_CZ(s_all)
     total = 0.0
     c_pow = np.ones_like(c)
     for k in range(1, _N_TERMS + 1):
@@ -475,20 +477,16 @@ def d_bar(
         raise RuntimeError(
             f"d_bar did not converge: tail bound {tail_bound:.3e} beyond "
             f"s_max={s_max} plus truncation bound {truncation_bound:.3e} after "
-            f"{_N_TERMS} terms exceeds tolerance {tol:.3e}; a large tail "
-            "bound needs a larger s_max"
+            f"{_N_TERMS} terms exceeds tolerance {tol:.3e}"
         )
-    value = so * (total + tail)
-    if return_diagnostics:
-        return value, {
-            "s_max": s_max,
-            "tail_estimate": so * tail,
-            "tail_bound": tail_bound,
-            "truncation_bound": truncation_bound,
-            "lambda_at_zero": coef[0],
-            "n_terms": _N_TERMS,
-        }
-    return value
+    return so * (total + tail), {
+        "s_max": s_max,
+        "tail_estimate": so * tail,
+        "tail_bound": tail_bound,
+        "truncation_bound": truncation_bound,
+        "lambda_at_zero": coef[0],
+        "n_terms": _N_TERMS,
+    }
 
 
 def d_bar_markov(vol_fn: VolFunction) -> float:
@@ -512,27 +510,24 @@ def d_bar_markov(vol_fn: VolFunction) -> float:
 
 
 def group_params(mp) -> GroupParams:
-    """All derived group parameters for a model (pure function of ``mp``).
+    """All derived group parameters for a model (pure function of ``mp``),
+    with :func:`d_bar`'s bounds; the one route from a model to them.
 
     ``mp`` provides ``hurst`` and ``vol_fn``
     (see :class:`roughvol.simulate.ModelParams`).
     """
     mean_f, mean_f2, mean_fp, mean_fp2 = moments(mp.vol_fn, mp.hurst)
-    sbar = math.sqrt(mean_f2)
-    if mean_fp2 == 0.0:
-        dbar = 0.0
-    else:
-        ke = KernelEval(mp.hurst)
-        ce = CovarianceEval(mp.hurst)
-        dbar = d_bar(mp.vol_fn, ke, ce)
+    # constant vol: F' = 0, so d_bar = 0 without the series
+    dbar, diag = (0.0, None) if mean_fp2 == 0.0 else d_bar(mp.vol_fn, mp.hurst)
     return GroupParams(
-        sigma_bar=sbar,
+        sigma_bar=math.sqrt(mean_f2),
         d_bar=dbar,
         tau_bar=2.0 / mean_f2,
         mean_F=mean_f,
         var_F=mean_f2 - mean_f**2,
         mean_Fp=mean_fp,
         mean_Fp2=mean_fp2,
+        d_bar_diagnostics=diag,
     )
 
 

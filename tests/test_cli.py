@@ -1,5 +1,6 @@
 """Tests for the command-line front end: config handling, commands, emission."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import roughvol
 from roughvol import cli
 from roughvol.cli import RunConfig, cmd_params, cmd_price, config_hash, load_config
+from roughvol.gaussfunc import GroupParams, group_params
 
 INI_TEXT = """\
 [model]
@@ -298,7 +300,7 @@ def test_params_constant_vol_closed_forms():
     assert rep.d_bar == 0.0
     assert rep.tau_bar == pytest.approx(50.0, rel=1e-14)
     assert rep.mean_F == pytest.approx(0.2, rel=1e-14)
-    assert rep.mean_F2 == pytest.approx(0.04, rel=1e-14)
+    assert rep.var_F == pytest.approx(0.0, abs=1e-14)
     assert rep.mean_Fp == 0.0
     assert rep.dbar_truncation_bound is None
     assert rep.kernel_sq_residual < 1e-9
@@ -308,12 +310,33 @@ def test_params_sigmoid_reports_quadrature_diagnostics():
     rep = cmd_params(RunConfig())
     assert rep.d_bar == pytest.approx(4.329011559885e-04, rel=1e-9)
     assert rep.sigma_bar == pytest.approx(0.27931717, rel=1e-7)
-    assert rep.tau_bar == pytest.approx(2.0 / rep.mean_F2, rel=1e-15)
+    assert rep.tau_bar == pytest.approx(2.0 / rep.sigma_bar**2, rel=1e-15)
     assert 0.0 < rep.dbar_truncation_bound < 1e-8
     assert rep.dbar_tail_bound < 1e-8
     assert rep.dbar_s_max == 2000.0
     text = rep.to_text()
     assert "sigma_bar" in text and "d_bar" in text and "tau_bar" in text
+
+
+@pytest.mark.parametrize("model", [{}, {"vol_type": "constant", "vol_value": 0.2}],
+                         ids=["sigmoid", "constant"])
+def test_params_report_is_group_params(model, monkeypatch):
+    cfg = RunConfig.from_dict({"model": model})
+    gp = group_params(cfg.model())
+
+    def rederived(*args, **kwargs):
+        raise AssertionError("cmd_params derived the group parameters itself")
+
+    monkeypatch.setattr(cli, "moments", rederived, raising=False)
+    monkeypatch.setattr(cli, "d_bar", rederived)
+    rep = cmd_params(cfg)
+    for f in dataclasses.fields(GroupParams):
+        if f.compare:
+            assert getattr(rep, f.name) == getattr(gp, f.name), f.name
+    diag = gp.d_bar_diagnostics or {}
+    assert rep.dbar_truncation_bound == diag.get("truncation_bound")
+    assert rep.dbar_tail_bound == diag.get("tail_bound")
+    assert rep.dbar_s_max == diag.get("s_max")
 
 
 # -- price command ---------------------------------------------------------------
@@ -451,6 +474,14 @@ def test_study_smile_csv_headers(tmp_path):
     lines = (out / "smile.csv").read_text().splitlines()
     assert lines[0].startswith("# config = ")
     assert lines[2].split(",")[0] == "eps"
+
+
+def test_study_smile_constant_vol_is_config_error(tmp_path, capsys):
+    # d_bar = 0: there is no smile slope to recover
+    path = tmp_path / "const.ini"
+    path.write_text('[model]\nvol_type = "constant"\n')
+    assert cli.main(["study", "smile", "--config", str(path)]) == 2
+    assert "d_bar" in capsys.readouterr().err
 
 
 def test_study_unknown_name_rejected_by_parser():

@@ -458,6 +458,15 @@ def test_smile_requires_leverage():
         smile_study(mp, EPS_GRID)
 
 
+def test_smile_refuses_constant_vol_before_pricing(monkeypatch):
+    def priced(*args, **kwargs):
+        raise AssertionError("smile_study priced a model it must refuse")
+
+    monkeypatch.setattr(experiments.pricing, "corrected_price", priced)
+    with pytest.raises(ValueError, match="d_bar"):
+        smile_study(make_model(vol_fn=ConstantVol(0.2)), EPS_GRID)
+
+
 def test_smile_deterministic(smile_report):
     mp = make_model(maturity_T=1.0)
     again = smile_study(mp, EPS_GRID)

@@ -1,12 +1,14 @@
 """Tests for volatility functions and their Gaussian functionals."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from roughvol.kernel import CovarianceEval, KernelEval, sigma_ou
+from roughvol import gaussfunc
+from roughvol.kernel import KernelEval, sigma_ou
 from roughvol.gaussfunc import (
     BoundedSigmoid,
     ConstantVol,
@@ -255,20 +257,31 @@ def test_sigma_bar_constant_and_jensen():
         assert 0.1 < sb < 0.3
 
 
+@pytest.mark.parametrize("vf", [BoundedSigmoid(0.05, 0.45, 2.5), TABULATED],
+                         ids=["sigmoid", "tabulated"])
+def test_sigma_bar_reads_only_F(vf, monkeypatch):
+    # sigma_bar evaluates F and <F^2> alone, bit for bit group_params' value
+    want = group_params(Model(0.3, vf)).sigma_bar
+
+    def no_deriv(z):
+        raise AssertionError("sigma_bar evaluated F'")
+
+    monkeypatch.setattr(vf, "deriv", no_deriv)
+    assert sigma_bar(vf, 0.3) == want
+
+
 # ---------------------------------------------------------------------------
 # d_bar
 
 
 def test_d_bar_constant_is_zero():
-    ke, ce = KernelEval(0.3), CovarianceEval(0.3)
-    assert d_bar(ConstantVol(0.2), ke, ce) == 0.0
+    assert d_bar(ConstantVol(0.2), 0.3)[0] == 0.0
 
 
 @pytest.mark.parametrize("key", sorted(D_BAR_REGRESSION))
 def test_d_bar_regression(key):
     hurst, params = key
-    ke, ce = KernelEval(hurst), CovarianceEval(hurst)
-    val = d_bar(BoundedSigmoid(*params), ke, ce)
+    val, _ = d_bar(BoundedSigmoid(*params), hurst)
     assert val == pytest.approx(D_BAR_REGRESSION[key], rel=1e-6)
 
 
@@ -276,25 +289,24 @@ def test_d_bar_regression(key):
 def test_d_bar_matches_frozen_dense_oracle_on_steep_models(key):
     hurst, params = key
     vf = BoundedSigmoid(*params)
-    val = d_bar(vf, KernelEval(hurst), CovarianceEval(hurst))
+    val, _ = d_bar(vf, hurst)
     assert abs(val - DENSE_ORACLE_STEEP[key]) <= 1e-7 * vf.sigma_max**3
 
 
 def test_d_bar_matches_frozen_brute_force_oracle():
-    ke, ce = KernelEval(0.3), CovarianceEval(0.3)
-    val = d_bar(BoundedSigmoid(0.1, 0.3, 1.0), ke, ce)
+    val, _ = d_bar(BoundedSigmoid(0.1, 0.3, 1.0), 0.3)
     assert val == pytest.approx(BRUTE_ORACLE_H03, rel=1e-5)
 
 
 def test_d_bar_bounded_by_kernel_mass():
     # |d_bar| <= sigma_ou * sup|F| * sup|FF'| * int |K|
     for hurst in (0.1, 0.3):
-        ke, ce = KernelEval(hurst), CovarianceEval(hurst)
+        ke = KernelEval(hurst)
         vf = BoundedSigmoid(0.1, 0.3, 1.0)
         bound = (
             ke.sigma_ou * vf.sigma_max * g_prime_sup(vf) * ke.abs_integral()
         )
-        assert abs(d_bar(vf, ke, ce)) <= bound
+        assert abs(d_bar(vf, hurst)[0]) <= bound
 
 
 def test_d_bar_scale_equivariance():
@@ -302,34 +314,32 @@ def test_d_bar_scale_equivariance():
     # alpha^3; for the logistic family alpha*F is the family with scaled
     # bounds
     alpha = 1.3
-    ke, ce = KernelEval(0.3), CovarianceEval(0.3)
     vf = BoundedSigmoid(0.1, 0.3, 1.0)
     vf_scaled = BoundedSigmoid(alpha * 0.1, alpha * 0.3, 1.0)
     assert sigma_bar(vf_scaled, 0.3) == pytest.approx(
         alpha * sigma_bar(vf, 0.3), rel=1e-10
     )
-    assert d_bar(vf_scaled, ke, ce) == pytest.approx(
-        alpha**3 * d_bar(vf, ke, ce), rel=1e-6
+    assert d_bar(vf_scaled, 0.3)[0] == pytest.approx(
+        alpha**3 * d_bar(vf, 0.3)[0], rel=1e-6
     )
 
 
-def test_d_bar_tail_non_convergence_raises():
-    ke, ce = KernelEval(0.3), CovarianceEval(0.3)
-    with pytest.raises(RuntimeError):
-        d_bar(BoundedSigmoid(0.05, 0.45, 2.5), ke, ce, s_max=50.0)
+def test_d_bar_tail_non_convergence_raises(monkeypatch):
+    # the tail beyond a horizon of 50 is too large to linearize
+    monkeypatch.setattr(gaussfunc, "_S_MAX", 50.0)
+    with pytest.raises(RuntimeError, match="tail bound"):
+        d_bar(BoundedSigmoid(0.05, 0.45, 2.5), 0.3)
 
 
-def test_d_bar_validation_and_diagnostics():
-    ke, ce = KernelEval(0.3), CovarianceEval(0.3)
+def test_d_bar_diagnostics():
     vf = BoundedSigmoid(0.1, 0.3, 1.0)
-    with pytest.raises(ValueError):
-        d_bar(vf, ke, ce, s_max=10.0)
-    val, diag = d_bar(vf, ke, ce, return_diagnostics=True)
+    val, diag = d_bar(vf, 0.3)
     assert val == pytest.approx(D_BAR_REGRESSION[(0.3, (0.1, 0.3, 1.0))], rel=1e-6)
     assert diag["tail_bound"] < 1e-7 * vf.sigma_max**3
     assert abs(diag["tail_estimate"]) <= diag["tail_bound"]
     assert 0.0 < diag["truncation_bound"] < 1e-7 * vf.sigma_max**3 - diag["tail_bound"]
     assert diag["n_terms"] == 1000
+    assert diag["s_max"] == 2000.0
 
 
 def test_d_bar_approaches_the_markov_limit_linearly():
@@ -340,7 +350,7 @@ def test_d_bar_approaches_the_markov_limit_linearly():
     assert limit == pytest.approx(6.28549e-3, rel=1e-5)
     for gap in (1e-2, 1e-3, 1e-4):
         hurst = 0.5 - gap
-        rel = d_bar(vf, KernelEval(hurst), CovarianceEval(hurst)) / limit - 1.0
+        rel = d_bar(vf, hurst)[0] / limit - 1.0
         assert -2.1 < rel / gap < -1.95
     assert d_bar_markov(ConstantVol(0.2)) == 0.0
 
@@ -358,6 +368,7 @@ def test_group_params_constant_vol():
     assert gp.var_F == pytest.approx(0.0, abs=1e-14)
     assert gp.mean_Fp == 0.0
     assert gp.mean_Fp2 == 0.0
+    assert gp.d_bar_diagnostics is None  # the series is skipped
 
 
 def test_group_params_sigmoid_consistency():
@@ -369,9 +380,11 @@ def test_group_params_sigmoid_consistency():
     assert gp.mean_Fp > 0.0
     assert gp.mean_Fp2 > gp.mean_Fp**2  # Jensen for F'
     assert gp.d_bar == pytest.approx(D_BAR_REGRESSION[(0.3, (0.1, 0.3, 1.0))], rel=1e-6)
-    # pure and repeatable
+    # d_bar's value and bounds, as d_bar returns them
+    assert (gp.d_bar, gp.d_bar_diagnostics) == d_bar(mp.vol_fn, mp.hurst)
+    # pure and repeatable; equality reads the parameters, not the bounds
     gp2 = group_params(mp)
-    assert gp2 == gp
+    assert gp2 == gp == dataclasses.replace(gp, d_bar_diagnostics=None)
 
 
 def test_g_prime_sup_positive_and_dominates_origin():
@@ -395,7 +408,7 @@ def test_fixed_rule_check_raises_on_steep_models(slope):
     with pytest.raises(RuntimeError, match="does not resolve"):
         mean_FFp(vf, 0.1)
     with pytest.raises(RuntimeError, match="does not resolve"):
-        d_bar(vf, KernelEval(0.1), CovarianceEval(0.1))
+        d_bar(vf, 0.1)
     with pytest.raises(RuntimeError, match="does not resolve"):
         psi_of_C(0.5, vf, 0.1)
 
@@ -423,7 +436,7 @@ def test_fixed_rule_check_non_analytic_table():
         moments(TABULATED, h)
         mean_FFp(TABULATED, h)
         psi_of_C(0.5, TABULATED, h)
-        d_bar(TABULATED, KernelEval(h), CovarianceEval(h))
+        d_bar(TABULATED, h)
 
 
 # ---------------------------------------------------------------------------
