@@ -29,7 +29,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -259,7 +258,6 @@ class RunConfig:
     t_interior: Optional[float] = _key(
         "study", _number, None, note="null: vartheta checks t = 0 only")
     strikes_rel: tuple = _key("study", _numbers, (0.94, 0.97, 1.0, 1.03, 1.06))
-    tau_mr: float = _key("study", _number, 1.0)
     out_dir: Optional[str] = _key("output", _text, None, key="dir", flag="--out",
                                   note="null: print only, write no files")
     formats: tuple = _key("output", _formats, _FORMATS, flag="--format")
@@ -311,10 +309,6 @@ class RunConfig:
                 raise ValueError(
                     f"[study] eps_grid entries must be positive; got {e!r}"
                 )
-        if not (0.0 < self.tau_mr < math.inf):
-            raise ValueError(
-                f"[study] tau_mr must be positive and finite; got {self.tau_mr!r}"
-            )
 
     # -- builders -------------------------------------------------------------
 
@@ -531,9 +525,9 @@ def cmd_study(cfg: RunConfig, which: str):
     """Run one named study and return its report object."""
     if which not in _STUDIES:
         raise ValueError(f"unknown study {which!r}; expected one of {_STUDIES}")
-    if which == "termstructure":
-        return experiments.termstructure_study(cfg.hurst, tau_mr=cfg.tau_mr)
     mp = cfg.model()
+    if which == "termstructure":
+        return experiments.termstructure_study(mp)
     if which == "smile":
         return experiments.smile_study(mp, cfg.eps_grid, cfg.strikes_rel)
     if cfg.scheme != "TruncatedMovingAverage":

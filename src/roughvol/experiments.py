@@ -106,13 +106,14 @@ def _std_error(samples: np.ndarray) -> float:
     return float(samples.std(ddof=1) / math.sqrt(samples.size))
 
 
-def _loglog_slope(eps, values) -> float:
-    """Least-squares slope of ``log(values)`` against ``log(eps)``.
+def _loglog_slope(xs, values) -> float:
+    """Least-squares slope of ``log(values)`` against ``log(xs)``: the one
+    rate fit of every study.
 
     NaN when a value is not positive (the constant-volatility case).
     """
     if min(values) > 0.0:
-        return float(np.polyfit(np.log(eps), np.log(values), 1)[0])
+        return float(np.polyfit(np.log(xs), np.log(values), 1)[0])
     return math.nan
 
 
@@ -426,10 +427,7 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
             inconclusive=bool(err < 2.0 * est.std_error),
         ))
 
-    slope = float(np.polyfit(
-        np.log([p.eps for p in points]),
-        np.log([max(p.error, 1e-300) for p in points]), 1
-    )[0])
+    slope = _loglog_slope(eps, [p.error for p in points])
     decreasing = all(
         b.scaled_error < a.scaled_error
         or (b.scaled_error - b.scaled_se) <= (a.scaled_error + a.scaled_se)
@@ -869,17 +867,18 @@ class TermStructureReport(_ReportMixin):
         return ("tau", "amplitude_factor"), list(zip(self.taus, self.factors))
 
 
-def termstructure_study(hurst: float, tau_mr: float = 1.0,
-                        tau_bar: float = 1.0) -> TermStructureReport:
-    """Short- and long-maturity slopes of the amplitude factor, plus the
-    characteristic exponents for the three modelling regimes."""
-    h = float(hurst)
+def termstructure_study(mp) -> TermStructureReport:
+    """Short- and long-maturity slopes of the model's amplitude factor at
+    ``tau_mr = mp.eps`` and ``tau_bar = 1`` (the time shape of the
+    first-order price's finite-horizon term), plus the characteristic
+    exponents for the three modelling regimes."""
+    h, tau_mr, tau_bar = float(mp.hurst), float(mp.eps), 1.0
 
     def factors_at(taus):
         return [pricing.term_structure_factor(t, h, tau_mr, tau_bar) for t in taus]
 
     def slope(taus):
-        return float(np.polyfit(np.log(taus), np.log(np.abs(factors_at(taus))), 1)[0])
+        return _loglog_slope(taus, factors_at(taus))
 
     short_taus = tau_mr * np.array([1e-4, 2e-4, 5e-4, 1e-3])
     long_taus = tau_mr * np.array([1e3, 2e3, 5e3, 1e4])

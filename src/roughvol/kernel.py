@@ -14,8 +14,11 @@ ingredients that every other part of the package builds on:
 
 Gaussian expectations of a volatility function, including the volatility
 autocovariance ``Psi``, live in :mod:`roughvol.gaussfunc`.  The
-Gauss--Hermite helpers here (``gaussian_expect``, ``bivariate_expect``)
-serve only as independent references for tests and the benchmark.
+Gauss--Hermite rules here have two uses.  ``_gh_nodes(200)`` is a
+production rule: :mod:`roughvol.pricing` prices every smooth payoff on it
+(``_lognormal_nodes``, behind ``bs_price`` and ``bs_operator_greeks``).
+``gaussian_expect`` and ``bivariate_expect`` serve only as independent
+references for tests and the benchmark.
 
 The kernel is
 
@@ -178,7 +181,6 @@ class KernelEval:
         self.sigma_ou = sigma_ou(self.hurst)
         self._a = self.hurst + 0.5
         self._norm = self.sigma_ou * float(special.gamma(self._a))
-        self._zero_crossing = None
 
         small = self.kernel_small(_SPLIT_POINT)
         large = self.kernel_large(_SPLIT_POINT)
@@ -493,16 +495,14 @@ class KernelEval:
     def zero_crossing(self) -> float:
         """Unique time ``t*`` where the kernel changes sign (positive before,
         negative after)."""
-        if self._zero_crossing is None:
-            lo, hi = 0.5, 8.0
-            while self.kernel_K(hi) > 0.0:
-                hi *= 2.0
-                if hi > 1e3:  # pragma: no cover - defensive
-                    raise RuntimeError("kernel zero crossing not bracketed")
-            self._zero_crossing = float(
-                optimize.brentq(lambda u: float(self.kernel_K(u)), lo, hi, xtol=1e-13)
-            )
-        return self._zero_crossing
+        lo, hi = 0.5, 8.0
+        while self.kernel_K(hi) > 0.0:
+            hi *= 2.0
+            if hi > 1e3:  # pragma: no cover - defensive
+                raise RuntimeError("kernel zero crossing not bracketed")
+        return float(
+            optimize.brentq(lambda u: float(self.kernel_K(u)), lo, hi, xtol=1e-13)
+        )
 
     def abs_integral(self) -> float:
         """``int_0^infty |K(u)| du``.
@@ -601,7 +601,7 @@ class CovarianceEval:
         return out if out.ndim else float(out)
 
 
-# -- Gauss--Hermite reference rules -----------------------------------------
+# -- Gauss--Hermite rules: pricing's smooth payoffs, and test references ------
 
 
 @functools.lru_cache(maxsize=None)

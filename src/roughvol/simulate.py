@@ -376,8 +376,7 @@ class FactorSampler:
     the thread count.  For antithetic sampling the linear part runs on the
     base rows alone and is paired by :meth:`antithetic` before the vol map
     and the price step; negation is exact and rounding is symmetric in
-    sign, so the output has the bits of computing both rows.  The kernel's
-    spectrum is computed once per input width and kept.
+    sign, so the output has the bits of computing both rows.
 
     Attributes
     ----------
@@ -429,7 +428,6 @@ class FactorSampler:
                                                * self.delta))
             self.widths = (self.history_factor().shape[0], n + 1, n + 1)
         self.ncols = sum(self.widths) + (kap + 1) * n
-        self._spectra = {}  # input width -> (n, rfft(w_conv[:kappa n], n))
 
     def history_factor(self, fine: bool = False) -> np.ndarray:
         """``F`` (one row per history normal, one column per node) with
@@ -447,17 +445,12 @@ class FactorSampler:
 
         The same transforms, padded length and product as
         ``signal.fftconvolve(xi, w_conv[None, :kappa n], mode="full",
-        axes=1)``, so the same bits, with the kernel's spectrum computed
-        once per input width.
+        axes=1)``, so the same bits.
         """
         w = self.w_conv[: self.kappa * self.n]
-        width = xi.shape[1]
-        full = width + w.size - 1
-        if width not in self._spectra:
-            n = sp_fft.next_fast_len(full, True)
-            self._spectra[width] = n, sp_fft.rfft(w, n)
-        n, w_hat = self._spectra[width]
-        return sp_fft.irfft(sp_fft.rfft(xi, n, axis=1) * w_hat, n,
+        full = xi.shape[1] + w.size - 1
+        n = sp_fft.next_fast_len(full, True)
+        return sp_fft.irfft(sp_fft.rfft(xi, n, axis=1) * sp_fft.rfft(w, n), n,
                             axis=1)[:, :full]
 
     def _moving_sum(self, g: np.ndarray, xi: np.ndarray, fine: bool) -> np.ndarray:

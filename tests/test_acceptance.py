@@ -391,7 +391,7 @@ def test_zero_started_convergence_verdict(conv_stationary, conv_zero_start):
 @pytest.mark.parametrize("hurst", [0.1, 0.3])
 def test_term_structure_slopes_and_exponents(hurst):
     t0 = time.perf_counter()
-    report = termstructure_study(hurst)
+    report = termstructure_study(make_model(hurst=hurst))
     assert abs(report.short_slope - (hurst + 0.5)) < 0.05
     assert abs(report.long_slope - (hurst - 0.5)) < 0.05
     assert report.zeta_fast == max(hurst - 0.5, 0.0)

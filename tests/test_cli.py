@@ -92,9 +92,9 @@ def test_config_hash_tracks_content(ini_path):
 
 def test_config_hashes_pinned():
     # the hash keys every emitted artifact: a change here re-keys them all
-    assert config_hash(RunConfig()) == "f39f75e8a98a"
+    assert config_hash(RunConfig()) == "44c6f4a25f8f"
     example = Path(__file__).resolve().parents[1] / "demos" / "example_config.ini"
-    assert config_hash(load_config(str(example))) == "0d7ffb1594b4"
+    assert config_hash(load_config(str(example))) == "7f89bd5ebac6"
 
 
 # one entry per config key, at a non-default value:
@@ -127,7 +127,6 @@ EVERY_KEY = [
     ("study", {"t": 0.5}, "t", 0.5),
     ("study", {"t_interior": 0.5}, "t_interior", 0.5),
     ("study", {"strikes_rel": [0.9, 1.1]}, "strikes_rel", (0.9, 1.1)),
-    ("study", {"tau_mr": 2.0}, "tau_mr", 2.0),
     ("output", {"dir": "results"}, "out_dir", "results"),
     ("output", {"formats": ["json"]}, "formats", ("json",)),
 ]
@@ -136,7 +135,7 @@ EVERY_KEY_NAMES = {(section, key) for section, entries, _, _ in EVERY_KEY
 
 
 def test_every_key_has_a_round_trip_case():
-    assert len(EVERY_KEY_NAMES) == 27
+    assert len(EVERY_KEY_NAMES) == 26
     assert EVERY_KEY_NAMES == {(section, key)
                                for section, keys in cli._SECTIONS.items()
                                for key in keys}
@@ -178,7 +177,7 @@ def test_help_lists_every_key_and_its_default(capsys):
         assert f"  {key} = " in text
     for line in ("x0 = 1.0", "points_per_eps = 8", "warmup_mult = 30.0",
                  'scheme = "TruncatedMovingAverage"', "seed = 0", "t = 0.0",
-                 "strikes_rel = [0.94, 0.97, 1.0, 1.03, 1.06]", "tau_mr = 1.0",
+                 "strikes_rel = [0.94, 0.97, 1.0, 1.03, 1.06]",
                  "vol_value = 0.3", "center = 1.0",
                  "width = 0.2", "height = 1.0"):
         assert f"  {line}" in text
@@ -271,13 +270,13 @@ def test_infinite_maturity_in_config_is_config_error(tmp_path, capsys):
     assert "config error" in err and "maturity_T" in err
 
 
-@pytest.mark.parametrize("value", ["0", "Infinity"])
-def test_bad_tau_mr_in_config_is_config_error(tmp_path, capsys, value):
-    # rejected at load, where study termstructure used to fail at run time
+def test_removed_tau_mr_key_is_config_error(tmp_path, capsys):
+    # the mean-reversion time is [model] eps, so the key has no meaning
     path = tmp_path / "tau.ini"
-    path.write_text(f"[study]\ntau_mr = {value}\n")
-    assert cli.main(["params", "--config", str(path)]) == 2
-    assert "[study] tau_mr" in capsys.readouterr().err
+    path.write_text("[study]\ntau_mr = 1.0\n")
+    assert cli.main(["study", "termstructure", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key" in err and "tau_mr" in err
 
 
 def test_removed_delta_sigma_key_is_config_error(tmp_path, capsys):
@@ -300,10 +299,21 @@ def test_params_constant_vol_closed_forms():
     assert rep.d_bar == 0.0
     assert rep.tau_bar == pytest.approx(50.0, rel=1e-14)
     assert rep.mean_F == pytest.approx(0.2, rel=1e-14)
-    assert rep.var_F == pytest.approx(0.0, abs=1e-14)
+    assert rep.var_F == 0.0
     assert rep.mean_Fp == 0.0
     assert rep.dbar_truncation_bound is None
     assert rep.kernel_sq_residual < 1e-9
+
+
+def test_params_default_constant_vol_prints_zero_variance(tmp_path, capsys):
+    # at the default vol_value 0.3, <F^2> - <F>^2 printed -2.775558e-17
+    path = tmp_path / "const.ini"
+    path.write_text('[model]\nvol_type = "constant"\n')
+    assert cmd_params(load_config(str(path))).var_F == 0.0
+    assert cli.main(["params", "--config", str(path)]) == 0
+    printed = [float(ln.split()[-1]) for ln in capsys.readouterr().out.splitlines()
+               if ln.split()[:1] == ["var_F"]]
+    assert printed == [0.0, 0.0]  # the key list and the table
 
 
 def test_params_sigmoid_reports_quadrature_diagnostics():
@@ -441,6 +451,19 @@ def test_study_termstructure_emits_all_formats(tmp_path):
     assert payload["report"] == "TermStructureReport"
     assert payload["config_hash"] == h
     assert payload["seed"] == 0
+
+
+def test_study_termstructure_reads_model_eps(tmp_path):
+    tables = {}
+    for name, flags in (("default", []), ("fast", ["--eps", "0.01"])):
+        out = tmp_path / name
+        assert cli.main(["study", "termstructure", *flags, "--out", str(out),
+                         "--format", "json"]) == 0
+        tables[name] = json.loads((out / "termstructure.json").read_text())
+    assert tables["default"]["tau_mr"] == 0.05
+    assert tables["fast"]["tau_mr"] == 0.01
+    assert tables["default"]["taus"] != tables["fast"]["taus"]
+    assert tables["default"]["factors"] != tables["fast"]["factors"]
 
 
 def test_study_sidecar_reparses_to_identical_config(tmp_path, ini_path):

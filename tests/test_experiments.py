@@ -213,6 +213,9 @@ def test_convergence_constant_vol_error_vanishes():
         assert p.mc_se < 1e-15
         assert p.inconclusive  # a zero error is indistinguishable from noise
     assert rep.verdict.startswith("decreasing")
+    # every error is 0.0, so there is no rate to fit (as phi and kappa report)
+    (name, slope), = rep.rate_fits
+    assert name == "error_vs_eps_loglog_slope" and math.isnan(slope)
 
 
 def test_convergence_zero_start_variant():
@@ -478,23 +481,37 @@ def test_smile_deterministic(smile_report):
 
 @pytest.mark.parametrize("h", [0.1, 0.3])
 def test_termstructure_slopes(h):
-    rep = termstructure_study(h)
+    rep = termstructure_study(make_model(hurst=h))
     assert rep.short_slope == pytest.approx(h + 0.5, abs=0.05)
     assert rep.long_slope == pytest.approx(h - 0.5, abs=0.05)
 
 
+def test_termstructure_reads_model_eps():
+    # tau_mr is the model's eps and tau_bar is 1, so the table's maturities
+    # scale with eps while the log-log slopes do not move
+    base = termstructure_study(make_model(eps=0.05))
+    fast = termstructure_study(make_model(eps=0.0125))
+    assert (base.tau_mr, base.tau_bar) == (0.05, 1.0)
+    assert (fast.tau_mr, fast.tau_bar) == (0.0125, 1.0)
+    assert np.allclose(np.array(base.taus) / 0.05, np.array(fast.taus) / 0.0125,
+                       rtol=1e-15, atol=0.0)
+    assert base.factors != fast.factors
+    assert fast.short_slope == pytest.approx(base.short_slope, abs=1e-12)
+    assert fast.long_slope == pytest.approx(base.long_slope, abs=1e-12)
+
+
 def test_termstructure_zeta_closed_forms():
-    rep = termstructure_study(0.3)
+    rep = termstructure_study(make_model(hurst=0.3))
     assert rep.zeta_fast == max(0.3 - 0.5, 0.0)
     assert rep.zeta_slow == 0.3 + 0.5
     assert rep.zeta_small_amplitude == 0.3 + 0.5
 
 
 def test_termstructure_table_and_serialization():
-    rep = termstructure_study(0.25)
+    rep = termstructure_study(make_model(hurst=0.25))
     assert len(rep.taus) == 17
     assert all(f > 0 for f in rep.factors)
-    assert rep.to_json() == termstructure_study(0.25).to_json()
+    assert rep.to_json() == termstructure_study(make_model(hurst=0.25)).to_json()
     assert rep.to_csv().splitlines()[0] == "tau,amplitude_factor"
     data = json.loads(rep.to_json())
     assert data["report"] == "TermStructureReport"

@@ -180,10 +180,21 @@ def test_tabulated_vol_rejects_non_monotone_spline():
     TabulatedVol([-3.0, -1.5, 0.0, 1.5, 3.0], [0.12, 0.16, 0.2, 0.24, 0.28]),
     ConstantVol(0.2),
 ], ids=["sigmoid", "tabulated", "constant"])
-def test_ffp_is_bitwise_product_of_value_and_derivative(vf):
+def test_ffp_is_bitwise_product_of_value_and_derivative(vf, monkeypatch):
     z = np.concatenate((np.linspace(-12.0, 12.0, 2000), [-40.0, 40.0]))
     assert np.array_equal(vf.ffp(z), vf(z) * vf.deriv(z))
     assert np.array_equal(vf.ffp(z.reshape(2, -1)), (vf(z) * vf.deriv(z)).reshape(2, -1))
+    # one route in every family, so whatever wraps __call__ and deriv (a
+    # tracer, a counter) also sees F F'
+    calls = []
+    cls = type(vf)
+    for name in ("__call__", "deriv"):
+        def counted(self, z, _name=name, _orig=getattr(cls, name)):
+            calls.append(_name)
+            return _orig(self, z)
+        monkeypatch.setattr(cls, name, counted)
+    vf.ffp(z)
+    assert sorted(calls) == ["__call__", "deriv"]
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +376,25 @@ def test_group_params_constant_vol():
     assert gp.sigma_bar == pytest.approx(0.2, rel=1e-14)
     assert gp.tau_bar == pytest.approx(50.0, rel=1e-12)
     assert gp.d_bar == 0.0
-    assert gp.var_F == pytest.approx(0.0, abs=1e-14)
+    assert gp.var_F == 0.0
     assert gp.mean_Fp == 0.0
     assert gp.mean_Fp2 == 0.0
     assert gp.d_bar_diagnostics is None  # the series is skipped
+
+
+@pytest.mark.parametrize("value", [0.3, 0.45])
+def test_group_params_var_F_is_zero_for_every_constant_vol(value):
+    # <F^2> - <F>^2 cancels to -2.8e-17 at 0.3 and -5.6e-17 at 0.45
+    assert group_params(Model(0.3, ConstantVol(value))).var_F == 0.0
+
+
+@pytest.mark.parametrize("vf", [BoundedSigmoid(0.05, 0.45, 2.5), TABULATED],
+                         ids=["sigmoid", "tabulated"])
+def test_group_params_var_F_is_the_centred_mean(vf):
+    gp = group_params(Model(0.3, vf))
+    f = vf(sigma_ou(0.3) * gaussfunc._Z)
+    assert gp.var_F == float(gaussfunc._W @ ((f - gp.mean_F) ** 2))
+    assert gp.var_F == pytest.approx(gp.sigma_bar**2 - gp.mean_F**2, abs=1e-15)
 
 
 def test_group_params_sigmoid_consistency():

@@ -539,7 +539,7 @@ def test_rl_reproducible():
     assert np.array_equal(a.Z, b.Z) and np.array_equal(a.X, b.X)
 
 
-# -- bit-identity of the antithetic and cached-spectrum routes -------------------
+# -- bit-identity of the antithetic and convolution routes -----------------------
 # compared with tobytes(), which, unlike np.array_equal, sees the sign of zero
 
 
@@ -560,7 +560,6 @@ def test_convolve_matches_fftconvolve(zero_start):
             ref = signal.fftconvolve(xi, s.w_conv[None, : kap * s.n], mode="full",
                                      axes=1)
             assert s._convolve(xi).tobytes() == ref.tobytes()
-    assert sorted(s._spectra) == sorted(widths)
 
 
 def _interleaved_blocks(seed, n_paths, ncols):
