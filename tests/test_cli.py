@@ -270,13 +270,15 @@ def test_infinite_maturity_in_config_is_config_error(tmp_path, capsys):
     assert "config error" in err and "maturity_T" in err
 
 
-def test_removed_tau_mr_key_is_config_error(tmp_path, capsys):
-    # the mean-reversion time is [model] eps, so the key has no meaning
+@pytest.mark.parametrize("value", ["0", "Infinity", "1.0"])
+def test_bad_tau_mr_in_config_is_config_error(tmp_path, capsys, value):
+    # the mean-reversion time is [model] eps, so the key has no meaning:
+    # any value of it, bad or not, is rejected at load
     path = tmp_path / "tau.ini"
-    path.write_text("[study]\ntau_mr = 1.0\n")
+    path.write_text(f"[study]\ntau_mr = {value}\n")
     assert cli.main(["study", "termstructure", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "unknown key" in err and "tau_mr" in err
+    assert "unknown key" in err and "tau_mr" in err and "[study]" in err
 
 
 def test_removed_delta_sigma_key_is_config_error(tmp_path, capsys):
