@@ -18,9 +18,11 @@ Exit codes: 0 on success, 2 on configuration errors, and 3 on numerical
 failures (quadrature non-convergence or floating-point breakdown).
 
 The environment variable ``ROUGHVOL_THREADS`` caps the linear-algebra
-thread pools; the studies themselves are sequential and deterministic.  The
-cap is applied by ``import roughvol``, before NumPy loads, so it has no
-effect in a process that imported NumPy first.
+(BLAS/OpenMP) thread pools only.  The simulations also run one helper
+thread that draws the next batch of normals ahead; the output bits depend
+on neither it nor the cap.  The cap is applied by ``import roughvol``,
+before NumPy loads, so it has no effect in a process that imported NumPy
+first.
 """
 
 from __future__ import annotations

@@ -136,6 +136,8 @@ def mc_price(mp: ModelParams, grid: SimGrid, payoff, n_paths: int = N_PATHS_PRIC
     for bundle in simulate_paths(mp, grid, n_paths, seed, antithetic=antithetic):
         hx = np.asarray(payoff(bundle.X[:, -1]), dtype=float)
         units.append(_pair_means(hx) if antithetic else hx)
+        # released before the stream builds the next batch, not after
+        del bundle, hx
     return _estimate_from_units(np.concatenate(units), n_paths, seed)
 
 

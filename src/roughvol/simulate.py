@@ -47,6 +47,12 @@ mode, and its :meth:`~FactorSampler.paths` is the one route from standard
 normals to ``(Z, sigma, X)``; :func:`normal_blocks` draws the standard
 normals every simulator and study consumes.
 
+Each batch of draws comes from its own Philox stream, and
+:func:`normal_blocks` draws the next batch on one helper thread while the
+caller consumes the current one.  ``ROUGHVOL_THREADS`` caps the
+BLAS/OpenMP pools only, not that thread; the output bits depend on
+neither the helper's timing nor the thread count.
+
 The price update is the exact lognormal step for piecewise-constant
 volatility, so convergence studies isolate the volatility approximation.
 """
@@ -56,6 +62,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -96,6 +103,7 @@ _OVERSAMPLE = 4  # fine sub-steps per price step in the moving average
 
 _HISTORY_TOL = 1e-16  # largest residual variance the history factor leaves
 _SLAB_DOUBLES = 1 << 15  # entries of a history slab formed at once (256 kB)
+_FFT_SLAB_ROWS = 256  # rows FactorSampler._convolve transforms at once
 
 _SCHEMES = ("TruncatedMovingAverage", "CholeskyExact")
 
@@ -271,6 +279,15 @@ def normal_blocks(seed: int, n_paths: int, ncols: int,
     takes base row ``m`` and path ``2m + 1`` its negation (see
     :meth:`FactorSampler.antithetic`).
 
+    While the caller holds batch ``b``, one helper thread draws batch
+    ``b + 1`` into a new array (batch 0 is drawn on the caller's thread).
+    Each batch is its own stream and its own array, so neither the bits
+    nor a yielded array depend on the helper's timing, and
+    ``ROUGHVOL_THREADS``, which caps the BLAS/OpenMP pools only, does not
+    count the helper.  The stream keeps no batch it has yielded once the
+    caller asks for the next, and joins the helper when it ends, is closed
+    or is collected.
+
     Raises
     ------
     ValueError
@@ -282,29 +299,46 @@ def normal_blocks(seed: int, n_paths: int, ncols: int,
     if antithetic and n_paths % 2:
         raise ValueError("antithetic sampling requires an even n_paths")
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    firsts = range(0, n_paths, _BATCH_PATHS)
+
+    def draw(batch_index):
+        use = min(_BATCH_PATHS, n_paths - firsts[batch_index])
+        bit = np.random.Philox(key=key, counter=batch_index << 128)
+        # standard_normal fills row-major, so these rows are the first
+        # rows of the full batch
+        return np.random.Generator(bit).standard_normal(
+            (use // 2 if antithetic else use, ncols))
 
     def blocks():
-        for batch_index, first in enumerate(range(0, n_paths, _BATCH_PATHS)):
-            use = min(_BATCH_PATHS, n_paths - first)
-            bit = np.random.Philox(key=key, counter=batch_index << 128)
-            # standard_normal fills row-major, so these rows are the first
-            # rows of the full batch
-            yield np.random.Generator(bit).standard_normal(
-                (use // 2 if antithetic else use, ncols))
+        # leaving the with block, also by close or collection, joins the
+        # helper after its draw in progress
+        with ThreadPoolExecutor(1, thread_name_prefix="roughvol-draw") as helper:
+            ahead = None
+            for b in range(len(firsts)):
+                # rebinding drops batch b - 1 before batch b + 1 is begun
+                block = draw(b) if ahead is None else ahead.result()
+                ahead = helper.submit(draw, b + 1) if b + 1 < len(firsts) else None
+                yield block
 
     return blocks()
 
 
 def _x_from_vol(mp: ModelParams, dt: float, sigma: np.ndarray,
                 xi_w: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Exact lognormal price steps for piecewise-constant volatility."""
+    """Exact lognormal price steps for piecewise-constant volatility.
+
+    The log increment ``-0.5 sig^2 dt + sig sqrt(dt) (rho xi_w +
+    sqrt(1 - rho^2) zeta)`` is formed in one array, each operation rounding
+    as it would out of place, so a batch holds fewer temporaries."""
     sig = sigma[:, :-1]
-    shock = mp.rho * xi_w + math.sqrt(1.0 - mp.rho**2) * zeta
-    log_incr = -0.5 * sig**2 * dt + sig * math.sqrt(dt) * shock
-    log_x = np.cumsum(log_incr, axis=1)
+    log_x = mp.rho * xi_w
+    log_x += math.sqrt(1.0 - mp.rho**2) * zeta
+    log_x *= sig * math.sqrt(dt)
+    log_x += -0.5 * sig**2 * dt
+    np.cumsum(log_x, axis=1, out=log_x)
     x = np.empty_like(sigma)
     x[:, 0] = mp.x0
-    x[:, 1:] = mp.x0 * np.exp(log_x)
+    np.multiply(mp.x0, np.exp(log_x), out=x[:, 1:])
     return x
 
 
@@ -440,18 +474,28 @@ class FactorSampler:
                 self.w_conv, self.kappa * self.n_w, 1 if fine else self.kappa)
         return self._factors[fine]
 
-    def _convolve(self, xi: np.ndarray) -> np.ndarray:
-        """Full convolution of each row of ``xi`` with ``w_conv[:kappa n]``.
+    def _convolve(self, xi: np.ndarray, step: int) -> np.ndarray:
+        """Columns ``step - 1 : kappa n : step`` of the full convolution of
+        each row of ``xi`` with ``w_conv[:kappa n]``: the entries
+        :meth:`_moving_sum` reads.
 
-        The same transforms, padded length and product as
-        ``signal.fftconvolve(xi, w_conv[None, :kappa n], mode="full",
-        axes=1)``, so the same bits.
+        Each slab of ``_FFT_SLAB_ROWS`` rows takes the transforms, padded
+        length and product of ``signal.fftconvolve(xi, w_conv[None, :kappa
+        n], mode="full", axes=1)``, and the FFT transforms each row on its
+        own, so the columns have the bits of that call on the whole block
+        while the spectra never hold more than a slab.  The transforms run
+        on the caller's thread alone, whatever ``ROUGHVOL_THREADS`` (which
+        caps the BLAS/OpenMP pools only) and whatever the helper thread of
+        :func:`normal_blocks` is doing; the bits depend on neither.
         """
-        w = self.w_conv[: self.kappa * self.n]
-        full = xi.shape[1] + w.size - 1
-        n = sp_fft.next_fast_len(full, True)
-        return sp_fft.irfft(sp_fft.rfft(xi, n, axis=1) * sp_fft.rfft(w, n), n,
-                            axis=1)[:, :full]
+        kn = self.kappa * self.n
+        n = sp_fft.next_fast_len(xi.shape[1] + kn - 1, True)
+        w_hat = sp_fft.rfft(self.w_conv[:kn], n)
+        out = np.empty((xi.shape[0], kn // step))
+        for a in range(0, xi.shape[0], _FFT_SLAB_ROWS):
+            spec = sp_fft.rfft(xi[a: a + _FFT_SLAB_ROWS], n, axis=1) * w_hat
+            out[a: a + _FFT_SLAB_ROWS] = sp_fft.irfft(spec, n, axis=1)[:, step - 1: kn: step]
+        return out
 
     def _moving_sum(self, g: np.ndarray, xi: np.ndarray, fine: bool) -> np.ndarray:
         """The moving sum (in ``sigma_ou`` units, no repairs) at the price
@@ -473,9 +517,8 @@ class FactorSampler:
                     slab += part[:, None] * coef
         total = total.T
         if xi.shape[1]:
-            step = 1 if fine else self.kappa
             # node s sees the increments before it: entry s - 1 of the sum
-            total[:, 1:] += self._convolve(xi)[:, step - 1: self.kappa * self.n: step]
+            total[:, 1:] += self._convolve(xi, 1 if fine else self.kappa)
         return total
 
     @staticmethod
@@ -680,7 +723,10 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
     ``n_paths >= m``.  With ``antithetic=True`` consecutive rows
     ``(2m, 2m+1)`` use negated Gaussian draws (``n_paths`` must be even);
     the linear part of the scheme runs once per pair, on the base rows of
-    :func:`normal_blocks`, with the bits of running it on both rows.
+    :func:`normal_blocks`, with the bits of running it on both rows.  Each
+    yielded bundle owns its arrays, so a caller may keep them while the
+    stream goes on; one that drops each bundle before asking for the next
+    holds one batch of paths at a time.
 
     Raises
     ------
@@ -692,24 +738,31 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
     """
     if grid.scheme == "TruncatedMovingAverage":
         sampler = FactorSampler(mp, grid)
-        for block in normal_blocks(seed, n_paths, sampler.ncols, antithetic):
-            yield sampler.bundle(block, seed, antithetic=antithetic)
-        return
-    _, chol, _ = _exact_factor(mp, grid)
-    n, dt = grid.n_steps, grid.dt
-    times = np.arange(n + 1) * dt
-    for block in normal_blocks(seed, n_paths, 3 * n + 1, antithetic):
-        if antithetic:
-            # paired before the product: a BLAS kernel may sum a row in an
-            # order that depends on the row's position in the block
-            block = FactorSampler.antithetic(block)
-        zw = block[:, : 2 * n + 1] @ chol.T
-        z = zw[:, : n + 1]
-        dw = zw[:, n + 1:]
-        zeta = block[:, 2 * n + 1:]
-        sigma = mp.vol_fn(z)
-        x = _x_from_vol(mp, dt, sigma, dw / math.sqrt(dt), zeta)
-        yield PathBundle(times, dw, math.sqrt(dt) * zeta, z, sigma, x, seed)
+        ncols = sampler.ncols
+
+        def bundle(block):
+            return sampler.bundle(block, seed, antithetic=antithetic)
+    else:
+        _, chol, _ = _exact_factor(mp, grid)
+        n, dt = grid.n_steps, grid.dt
+        times = np.arange(n + 1) * dt
+        ncols = 3 * n + 1
+
+        def bundle(block):
+            if antithetic:
+                # paired before the product: a BLAS kernel may sum a row in
+                # an order that depends on the row's position in the block
+                block = FactorSampler.antithetic(block)
+            zw = block[:, : 2 * n + 1] @ chol.T
+            z = zw[:, : n + 1]
+            dw = zw[:, n + 1:]
+            zeta = block[:, 2 * n + 1:]
+            sigma = mp.vol_fn(z)
+            x = _x_from_vol(mp, dt, sigma, dw / math.sqrt(dt), zeta)
+            return PathBundle(times, dw, math.sqrt(dt) * zeta, z, sigma, x, seed)
+    # map keeps no block between batches: while the caller holds a bundle,
+    # the only blocks alive are the stream's last and the one drawn ahead
+    yield from map(bundle, normal_blocks(seed, n_paths, ncols, antithetic))
 
 
 def simulate_paths_RL(mp: ModelParams, grid: SimGrid, z0: float,
@@ -728,8 +781,9 @@ def simulate_paths_RL(mp: ModelParams, grid: SimGrid, z0: float,
         raise ValueError("simulate_paths_RL supports only TruncatedMovingAverage")
     sampler = FactorSampler(mp, grid, zero_start=True)
     decay = z0 * np.exp(-np.arange(grid.n_steps + 1) * sampler.delta)
-    for block in normal_blocks(seed, n_paths, sampler.ncols, antithetic):
-        yield sampler.bundle(block, seed, decay, antithetic)
+    # map keeps no block between batches, as in simulate_paths
+    yield from map(lambda block: sampler.bundle(block, seed, decay, antithetic),
+                   normal_blocks(seed, n_paths, sampler.ncols, antithetic))
 
 
 def concat_bundles(stream) -> PathBundle:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from roughvol.gaussfunc import (
 )
 from roughvol.kernel import KernelEval
 from roughvol.pricing import Call, bs_price, smooth_ramp
-from roughvol.simulate import ModelParams, SimGrid, concat_bundles, simulate_paths
+from roughvol.simulate import (
+    FactorSampler,
+    ModelParams,
+    SimGrid,
+    concat_bundles,
+    simulate_paths,
+)
 from roughvol import experiments
 from roughvol.experiments import (
     ConvergenceReport,
@@ -125,6 +132,24 @@ def test_mc_price_validation():
         mc_price(mp, grid, PAYOFF, n_paths=2001, seed=0)
     with pytest.raises(ValueError):
         mc_price(mp, grid, PAYOFF, n_paths=0, seed=0)
+
+
+def test_mc_price_holds_one_batch_beside_the_draw_ahead():
+    # three batches at eps 0.01.  The stream holds two blocks of base draws
+    # (the batch in use and the one drawn ahead), and building a batch's
+    # paths about two more.  Keeping the last batch's paths as well, or the
+    # convolution spectra of a whole block, takes the peak to ~5 blocks.
+    mp = make_model(eps=0.01, maturity_T=0.3)
+    grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0)
+    block = 2048 * FactorSampler(mp, grid).ncols * 8
+    tracemalloc.start()
+    try:
+        est = mc_price(mp, grid, Call(1.0), n_paths=3 * 4096, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.n_paths == 3 * 4096
+    assert peak < 4.5 * block
 
 
 @pytest.mark.parametrize("n_paths, antithetic", [(2, True), (1, False)])

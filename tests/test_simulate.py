@@ -1,10 +1,12 @@
 """Tests for the path simulation engine."""
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,7 @@ from roughvol.simulate import (
     normal_blocks,
     simulate_paths,
     simulate_paths_RL,
+    _FFT_SLAB_ROWS,
     _exact_joint_cov,
     _scheme_joint_cov,
 )
@@ -548,18 +551,21 @@ def test_convolve_matches_fftconvolve(zero_start):
     mp = make_model()
     s = FactorSampler(mp, SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0),
                       zero_start)
-    kap = s.kappa
+    kap, kn = s.kappa, s.kappa * s.n
     # the widths the sampler is given: the increments on [0, T] (a block)
     # and, stationary only, those up to an interior time (vartheta_check);
     # the history before t = 0 goes through the history factor instead
-    widths = {kap * s.n} if zero_start else {kap * (s.n // 2), kap * s.n}
+    widths = {kn} if zero_start else {kap * (s.n // 2), kn}
     rng = np.random.default_rng(1)
     for width in sorted(widths):
-        for rows in (1, 7, 64):
+        # row counts on both sides of a slab boundary, up to a full block
+        for rows in (1, 7, 64, _FFT_SLAB_ROWS, _FFT_SLAB_ROWS + 1, 2048):
             xi = rng.standard_normal((rows, width))
-            ref = signal.fftconvolve(xi, s.w_conv[None, : kap * s.n], mode="full",
-                                     axes=1)
-            assert s._convolve(xi).tobytes() == ref.tobytes()
+            ref = signal.fftconvolve(xi, s.w_conv[None, :kn], mode="full", axes=1)
+            # the columns _moving_sum reads at the price and the fine nodes
+            for step in (kap, 1):
+                got = s._convolve(xi, step)
+                assert got.tobytes() == ref[:, step - 1: kn: step].tobytes(), (rows, step)
 
 
 def _interleaved_blocks(seed, n_paths, ncols):
@@ -682,6 +688,79 @@ def test_paths_do_not_depend_on_the_thread_count():
         digests.append(out.stdout.split())
     assert len(digests[0]) == 3
     assert digests[0] == digests[1]
+
+
+# -- the draw-ahead of normal_blocks ----------------------------------------------
+
+
+def _direct_blocks(seed, n_paths, ncols, antithetic):
+    # each batch from its own Philox stream, drawn on the caller's thread
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    for b, first in enumerate(range(0, n_paths, 4096)):
+        use = min(4096, n_paths - first)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=b << 128))
+        yield gen.standard_normal((use // 2 if antithetic else use, ncols))
+
+
+@pytest.mark.parametrize("n_paths, antithetic, last_rows", [
+    (8193, False, 1), (8195, False, 3), (8194, True, 1), (8198, True, 3),
+    (3 * 4096, True, 2048),
+])
+def test_drawn_ahead_blocks_are_the_direct_draws(n_paths, antithetic, last_rows):
+    got = list(normal_blocks(21, n_paths, 5, antithetic))
+    ref = list(_direct_blocks(21, n_paths, 5, antithetic))
+    assert len(got) == len(ref) == 3
+    assert got[-1].shape == (last_rows, 5)
+    for a, b in zip(got, ref, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_draw_ahead_thread_ends_with_the_stream():
+    # wide enough batches that the helper is still drawing when each check
+    # runs, so a helper left running or idle would be counted
+    baseline = threading.active_count()
+
+    def stream():
+        return normal_blocks(5, 3 * 4096, 1000)
+
+    closed = stream()
+    next(closed)
+    closed.close()
+    assert threading.active_count() == baseline
+
+    with pytest.raises(RuntimeError, match="consumer"):
+        for _ in stream():
+            raise RuntimeError("consumer failed")
+    assert threading.active_count() == baseline
+
+    dropped = stream()
+    next(dropped)
+    del dropped
+    gc.collect()
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("route", ["plain", "antithetic", "rl"])
+def test_yielded_bundle_owns_its_arrays(route):
+    # a consumer may keep a batch's arrays without copying them while the
+    # stream goes on to draw and build the later batches
+    mp = make_model(maturity_T=0.1)
+    grid = SimGrid.for_model(mp)
+
+    def run(n_paths):
+        if route == "rl":
+            return simulate_paths_RL(mp, grid, 0.4, n_paths, 9, antithetic=True)
+        return simulate_paths(mp, grid, n_paths, 9, antithetic=route == "antithetic")
+
+    ref = next(run(4096))
+    ref_z, ref_x = ref.Z.tobytes(), ref.X.tobytes()
+    stream = run(3 * 4096)
+    first = next(stream)
+    z, x = first.Z, first.X
+    del ref, first
+    assert sum(1 for _ in stream) == 2
+    assert z.tobytes() == ref_z
+    assert x.tobytes() == ref_x
 
 
 def test_few_path_batch_draws_only_its_rows():
