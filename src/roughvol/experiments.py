@@ -877,7 +877,7 @@ def termstructure_study(mp) -> TermStructureReport:
     h, tau_mr, tau_bar = float(mp.hurst), float(mp.eps), 1.0
 
     def factors_at(taus):
-        return [pricing.term_structure_factor(t, h, tau_mr, tau_bar) for t in taus]
+        return pricing.term_structure_factor(taus, h, tau_mr, tau_bar)
 
     def slope(taus):
         return _loglog_slope(taus, factors_at(taus))

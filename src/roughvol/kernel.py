@@ -13,12 +13,11 @@ ingredients that every other part of the package builds on:
   ``cov_RL``.
 
 Gaussian expectations of a volatility function, including the volatility
-autocovariance ``Psi``, live in :mod:`roughvol.gaussfunc`.  The
-Gauss--Hermite rules here have two uses.  ``_gh_nodes(200)`` is a
-production rule: :mod:`roughvol.pricing` prices every smooth payoff on it
-(``_lognormal_nodes``, behind ``bs_price`` and ``bs_operator_greeks``).
-``gaussian_expect`` and ``bivariate_expect`` serve only as independent
-references for tests and the benchmark.
+autocovariance ``Psi``, live in :mod:`roughvol.gaussfunc`, and
+:mod:`roughvol.pricing` prices smooth payoffs on its own 121-node
+trapezoid rule.  The Gauss--Hermite rules here (``_gh_nodes``) serve only
+``gaussian_expect`` and ``bivariate_expect``, independent references for
+tests and the benchmark.
 
 The kernel is
 
@@ -601,7 +600,7 @@ class CovarianceEval:
         return out if out.ndim else float(out)
 
 
-# -- Gauss--Hermite rules: pricing's smooth payoffs, and test references ------
+# -- Gauss--Hermite rules: test and benchmark references ----------------------
 
 
 @functools.lru_cache(maxsize=None)

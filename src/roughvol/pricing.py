@@ -8,8 +8,10 @@ The corrected price is
 where ``Q0`` is the zero-rate Black--Scholes price at the effective
 volatility ``sigma_bar``; :func:`first_order_price` alone forms ``Q1`` and
 ``Q^eps``.  Every Black--Scholes price, at one vol or one per path, takes
-one route.  The induced implied-volatility expansion is affine in
-log-moneyness,
+one route: the closed formula for calls, and for smooth payoffs one
+121-node trapezoid rule in the standard-normal variable, summed row by
+row, so a spot priced alone has the bits it has inside any batch.  The
+induced implied-volatility expansion is affine in log-moneyness,
 
     I = sigma_bar + sqrt(eps) rho d_bar [1/(2 sigma_bar)
         + log(K/x) / (sigma_bar^3 (T-t))],
@@ -25,9 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize, special
-
-from .kernel import _gh_nodes
+from scipy import optimize, special
 
 __all__ = [
     "Call",
@@ -44,7 +44,13 @@ __all__ = [
     "term_structure_factor",
 ]
 
-_GH_PRICE_ORDER = 200  # fixed rule for smooth-payoff lognormal expectations
+# The rule for smooth-payoff lognormal expectations: the trapezoid rule of
+# N(0, 1) at step 1/6 on |zeta| <= 10 (phi(10) is 8e-23).  It converges
+# geometrically for integrands analytic in a strip (Trefethen & Weideman,
+# SIAM Review 56, 2014).
+_ZETA = np.arange(-60, 61) / 6.0
+_W = np.exp(-0.5 * _ZETA * _ZETA) / (6.0 * math.sqrt(2.0 * math.pi))
+_ZETA.flags.writeable = _W.flags.writeable = False
 
 _REGIMES = ("FastMeanReverting", "SlowMeanReverting", "SmallAmplitude")
 
@@ -175,11 +181,17 @@ def _market(x, sigma, tau: float):
 
 
 def _lognormal_nodes(rt):
-    """Gauss--Hermite rule ``(zeta, w)`` of ``N(0, 1)`` and the lognormal
-    factors ``Y = exp(rt zeta - rt^2/2)``, one row per entry of ``rt``."""
-    zeta, w = _gh_nodes(_GH_PRICE_ORDER)
+    """The lognormal factors ``Y = exp(rt zeta - rt^2/2)`` at the rule's
+    nodes ``_ZETA``, one row per entry of ``rt``."""
     rt = rt[..., None]
-    return zeta, w, np.exp(rt * zeta - 0.5 * (rt * rt))
+    return np.exp(rt * _ZETA - 0.5 * (rt * rt))
+
+
+def _rule_sum(values):
+    """The rule applied to each row of ``values`` (nodes last).  A pairwise
+    sum along the row, not a BLAS product, whose rounding of a row can
+    depend on the row count or the thread count."""
+    return (values * _W).sum(axis=-1)
 
 
 def _lognormal(x, payoff, rt):
@@ -188,8 +200,7 @@ def _lognormal(x, payoff, rt):
     if isinstance(payoff, Call):
         d1 = (np.log(x / payoff.strike) + 0.5 * rt * rt) / rt
         return x * special.ndtr(d1) - payoff.strike * special.ndtr(d1 - rt)
-    _, w, y = _lognormal_nodes(rt)
-    return payoff(x[..., None] * y) @ w
+    return _rule_sum(payoff(x[..., None] * _lognormal_nodes(rt)))
 
 
 def bs_price(x, payoff, sigma, tau: float):
@@ -197,8 +208,12 @@ def bs_price(x, payoff, sigma, tau: float):
     ``x`` and volatility ``sigma`` (every ``sigma > 0``).
 
     Calls use the closed formula; smooth payoffs integrate ``h`` against
-    the lognormal transition density by Gauss--Hermite quadrature.
-    ``tau = 0`` returns ``h(x)``.
+    the lognormal transition density on the 121-node trapezoid rule
+    (step 1/6 on ``|zeta| <= 10``), one row per price.  ``tau = 0``
+    returns ``h(x)``.  The rule's error grows with ``sigma sqrt(tau)``:
+    for ``smooth_ramp(1, 0.1)`` at spots 0.6--1.6 it was at most 4.2e-10
+    at ``sigma sqrt(tau) = 0.53`` and 1.6e-7 at 0.75, against a dense
+    trapezoid.
     """
     x, rt, scalar = _market(x, sigma, tau)
     if tau == 0.0:
@@ -215,7 +230,10 @@ def bs_operator_greeks(x, payoff, sigma, tau: float):
     over ``x`` and ``sigma`` as in :func:`bs_price`.  Calls use closed forms
     at ``d1``; smooth payoffs differentiate under the lognormal integral
     (the third payoff derivative is eliminated by Gaussian integration by
-    parts, so only ``h''`` is required).
+    parts, so only ``h''`` is required) on the rule of :func:`bs_price`.
+    For ``smooth_ramp(1, 0.1)`` at spots 0.6--1.6, ``D12`` was off by at
+    most 1.1e-6 of its largest magnitude at ``sigma sqrt(tau) = 0.53`` and
+    3.5e-4 at 0.75, against a dense trapezoid.
 
     Raises
     ------
@@ -230,14 +248,14 @@ def bs_operator_greeks(x, payoff, sigma, tau: float):
         d2v = x * _norm_pdf(d1) / rt
         d12 = d2v * (1.0 - d1 / rt)
     else:
-        zeta, w, y = _lognormal_nodes(rt)
+        y = _lognormal_nodes(rt)
         hpp = payoff.h_double_prime(x[..., None] * y)
         y2 = y * y
-        d2v = x**2 * ((hpp * y2) @ w)
+        d2v = x**2 * _rule_sum(hpp * y2)
         # x^3 E[h'''(xY) Y^3] = x^2 E[zeta h''(xY) Y^2]/rt - 2 x^2 E[h'' Y^2]
         # (Gaussian integration by parts), so
         # D12 = 2 D2 + x^3 E[h''' Y^3] = x^2 E[zeta h''(xY) Y^2]/rt
-        d12 = x**2 * ((hpp * (zeta * y2)) @ w) / rt
+        d12 = x**2 * _rule_sum(hpp * (_ZETA * y2)) / rt
     if scalar:
         return float(d2v[0]), float(d12[0])
     return d2v, d12
@@ -354,25 +372,24 @@ def zeta_exponent(h: float, regime: str) -> float:
     return h + 0.5
 
 
-def term_structure_factor(tau: float, h: float, tau_mr: float,
-                          tau_bar: float) -> float:
-    """Maturity factor ``A(tau/tau_bar, tau/tau_mr)`` of the smile level.
+def term_structure_factor(tau, h: float, tau_mr: float, tau_bar: float):
+    """Maturity factor ``A(tau/tau_bar, tau/tau_mr)`` of the smile level,
+    elementwise over an array of maturities ``tau`` (a float for a scalar).
 
     ``A = (tau/tau_bar)^(H+1/2) * (1 - int_0^u exp(-v) (1 - v/u)^(H+3/2) dv)``
     with ``u = tau/tau_mr``.  Interpolates between the short-maturity slope
     ``H + 1/2`` and the long-maturity slope ``H - 1/2`` on a log-log plot.
+    The integral is ``u M(1, H+7/2, -u) / (H+5/2)``, Kummer's function
+    ``M``, evaluated in closed form.
     """
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be positive; got {tau!r}")
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((0.0 < tau) & (tau < math.inf)):
+        raise ValueError("tau must be positive and finite")
     if not (0.0 < h < 1.0):
         raise ValueError(f"h must lie in (0, 1); got {h!r}")
     if not (0.0 < tau_mr < math.inf and 0.0 < tau_bar < math.inf):
         raise ValueError("tau_mr and tau_bar must be positive and finite")
     u = tau / tau_mr
-    c = h + 1.5
-    # integrand decays like exp(-v); beyond v=50 the contribution is < 2e-22
-    upper = min(u, 50.0)
-    val, _ = integrate.quad(
-        lambda v: math.exp(-v) * (1.0 - v / u) ** c, 0.0, upper, limit=200
-    )
-    return (tau / tau_bar) ** (h + 0.5) * (1.0 - val)
+    out = (tau / tau_bar) ** (h + 0.5) * (
+        1.0 - u * special.hyp1f1(1.0, h + 3.5, -u) / (h + 2.5))
+    return float(out) if out.ndim == 0 else out

@@ -577,7 +577,21 @@ class FactorSampler:
 
     @staticmethod
     def block_sums(xi: np.ndarray, m: int) -> np.ndarray:
-        """Standardized sums of ``m`` consecutive standardized increments."""
+        """Standardized sums of ``m`` consecutive standardized increments.
+
+        ``m = 1`` returns ``xi`` itself.  For ``m < 8`` the strided views
+        are added in order, as NumPy adds a row that short, so the result
+        has the bits of ``xi.reshape(b, cols // m, m).sum(axis=2)`` (up to
+        the sign of a block of ``-0.0``) without copying a non-contiguous
+        ``xi``.  From 8 terms NumPy unrolls its sum, and the reshape-sum
+        stays."""
+        if m == 1:
+            return xi
+        if m < 8:
+            total = xi[:, 0::m] + xi[:, 1::m]
+            for j in range(2, m):
+                total += xi[:, j::m]
+            return total / math.sqrt(m)
         b, cols = xi.shape
         return xi.reshape(b, cols // m, m).sum(axis=2) / math.sqrt(m)
 

@@ -134,13 +134,7 @@ def test_bs_price_per_path_vols_match_scalar_calls(payoff):
     sigma = rng.uniform(0.05, 0.9, 257)
     got = bs_price(x, payoff, sigma, 0.8)
     want = np.array([bs_price(a, payoff, s, 0.8) for a, s in zip(x, sigma)])
-    if isinstance(payoff, Call):
-        assert np.array_equal(got, want)
-    else:
-        # the Gauss-Hermite sum is a BLAS matrix-vector product, which may
-        # accumulate a row in another order when there are many rows
-        np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps,
-                                   atol=0.0)
+    assert np.array_equal(got, want)
     for bad in (0.0, np.nan):
         with pytest.raises(ValueError, match="sigma"):
             bs_price(x, payoff, np.where(np.arange(257) == 100, bad, sigma), 0.8)
@@ -165,6 +159,35 @@ def test_bs_price_smooth_matches_trapezoid_oracle():
     got = bs_price(0.9, ramp, 0.25, 0.7)
     want = lognormal_trapezoid_price(0.9, ramp.h, 0.25, 0.7)
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def lognormal_trapezoid_d12(x, hpp, sigma, tau, n=40001, z_range=10.0):
+    """Dense-trapezoid twin of D12 = x^2 E[Z h''(x Y) Y^2] / (sigma sqrt(tau))."""
+    z = np.linspace(-z_range, z_range, n)
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    rt = sigma * math.sqrt(tau)
+    y = np.exp(-0.5 * rt * rt + rt * z)
+    return x * x * float(np.trapezoid(z * hpp(x * y) * y * y * phi, z)) / rt
+
+
+@pytest.mark.parametrize("rt, q0_tol, d12_tol", [
+    (0.3, 1e-10, 1e-7), (0.46, 1e-10, 1e-7), (0.53, 1e-9, 3e-6),
+    (0.75, 5e-7, 1e-3),
+])
+def test_smooth_rule_accuracy_on_a_narrow_ramp(rt, q0_tol, d12_tol):
+    # width 0.1, where the other smooth-payoff tests use 0.15; the rule's
+    # error grows with sigma sqrt(tau), and D12 is measured against its
+    # largest magnitude over the spots, since it crosses zero
+    ramp = smooth_ramp(1.0, 0.1)
+    spots = np.linspace(0.6, 1.6, 21)
+    sigma, tau = rt / math.sqrt(0.8), 0.8
+    q0 = bs_price(spots, ramp, sigma, tau)
+    d12 = bs_operator_greeks(spots, ramp, sigma, tau)[1]
+    want_q0 = [lognormal_trapezoid_price(x, ramp.h, sigma, tau) for x in spots]
+    want_d12 = np.array([lognormal_trapezoid_d12(x, ramp.h_double_prime, sigma, tau)
+                         for x in spots])
+    assert np.max(np.abs(q0 - want_q0)) <= q0_tol
+    assert np.max(np.abs(d12 - want_d12)) <= d12_tol * np.max(np.abs(want_d12))
 
 
 def test_bs_price_validation():
@@ -225,6 +248,14 @@ def test_smooth_greeks_match_finite_differences():
     fd2, fd12 = fd_d2_d12(1.05, ramp, 0.25, 0.8, step=5e-4)
     assert d2 == pytest.approx(fd2, rel=1e-6)
     assert d12 == pytest.approx(fd12, rel=1e-6)
+
+
+def test_smooth_greeks_at_many_spots_match_scalar_calls():
+    ramp = smooth_ramp(1.0, 0.1)
+    x = np.random.default_rng(12).uniform(0.6, 1.5, 5000)
+    got = bs_operator_greeks(x, ramp, 0.3, 0.8)
+    want = np.array([bs_operator_greeks(a, ramp, 0.3, 0.8) for a in x]).T
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_call_greeks_homogeneity():
@@ -372,12 +403,7 @@ def test_first_order_price_matches_corrected_price_at_each_spot(t):
         want = np.array([dataclasses.astuple(corrected_price(
             Model(eps=0.05, rho=-0.5, x0=float(x)), GP, payoff, t))[:3]
             for x in spots]).T
-        if isinstance(payoff, Call) or t == 1.0:
-            assert np.array_equal(got, want)
-        else:
-            # see test_bs_price_per_path_vols_match_scalar_calls
-            np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps,
-                                       atol=0.0)
+        assert np.array_equal(got, want)
 
 
 def test_corrected_price_validation():
@@ -412,6 +438,32 @@ def test_term_structure_factor_validation():
                   (1.0, math.inf), (math.nan, 50.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="must be positive"):
             term_structure_factor(1.0, 0.3, *times)
+    for tau in (np.array([1.0, -1.0]), np.array([1.0, math.nan]), math.inf):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            term_structure_factor(tau, 0.3, 1.0, 1.0)
+
+
+def quad_maturity_factor(tau, h, tau_mr, tau_bar):
+    """The maturity factor by adaptive quadrature of its defining integral."""
+    u = tau / tau_mr
+    val = integrate.quad(lambda v: math.exp(-v) * (1.0 - v / u) ** (h + 1.5),
+                         0.0, min(u, 50.0), limit=200)[0]
+    return (tau / tau_bar) ** (h + 0.5) * (1.0 - val)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.3, 0.45])
+def test_term_structure_factor_matches_quadrature_on_whole_arrays(h):
+    # the study's table, short and long maturities; past v = 50 the
+    # quadrature's integrand is below 2e-22
+    for eps in (0.05, 0.0125, 1e-3):
+        taus = eps * np.concatenate([np.geomspace(1e-4, 1e4, 17),
+                                     [1e-4, 2e-4, 5e-4, 1e-3, 1e3, 2e3, 5e3, 1e4]])
+        got = term_structure_factor(taus, h, eps, 1.0)
+        assert got.shape == taus.shape
+        want = [quad_maturity_factor(t, h, eps, 1.0) for t in taus]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        one = term_structure_factor(float(taus[3]), h, eps, 1.0)
+        assert type(one) is float and one == pytest.approx(got[3], rel=1e-15)
 
 
 def test_term_structure_factor_limits():
@@ -426,7 +478,7 @@ def test_term_structure_factor_limits():
     vals = [term_structure_factor(t, h, tau_mr, tau_bar) for t in taus]
     slope = (math.log(vals[1]) - math.log(vals[0])) / math.log(taus[1] / taus[0])
     assert slope == pytest.approx(h - 0.5, abs=2e-3)
-    # positive and continuous across the integrand truncation point
+    # positive and continuous in tau
     near = [term_structure_factor(49.9 * tau_mr, h, tau_mr, tau_bar),
             term_structure_factor(50.1 * tau_mr, h, tau_mr, tau_bar)]
     assert abs(near[1] - near[0]) / abs(near[0]) < 1e-2

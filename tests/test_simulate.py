@@ -207,6 +207,17 @@ def test_antithetic_rows_are_negated_draws():
     assert np.array_equal(b.dB[0::2], -b.dB[1::2])
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_block_sums_have_the_bits_of_the_reshape_sum(m):
+    # a column slice of a wider block, as convergence_study passes its pool
+    block = np.random.default_rng(m).standard_normal((37, 120 * m + 5))
+    xi = block[:, 3: 3 + 120 * m]
+    want = xi.reshape(37, 120, m).sum(axis=2) / math.sqrt(m)
+    got = FactorSampler.block_sums(xi, m)
+    assert got.tobytes() == want.tobytes()
+    assert (got is xi) == (m == 1)
+
+
 def test_stream_batches_cover_request():
     mp = make_model(maturity_T=0.1)
     grid = SimGrid.for_model(mp)
