@@ -358,6 +358,14 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
 
     With ``zero_start=True`` the factor is started at zero (the
     no-prehistory variant) instead of stationarily.
+
+    Each batch of draws is cut into the row slabs of
+    :meth:`FactorSampler.row_slabs`, and every epsilon runs on one slab
+    (its paths, path sums and three prices) before the next slab, which
+    keeps a slab's arrays in cache and holds no array of a whole batch but
+    the draws.  Only the log-prices at ``T/2`` and ``T`` are exponentiated,
+    with the bits the price path would have there.  Each path is computed
+    on its own, so the report does not depend on the slab size.
     """
     eps = _check_dyadic(eps_grid)
     n_fine, models, grids, factors = _dyadic_grids(
@@ -382,28 +390,33 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
     for block in blocks:
         # base rows: the linear part runs on them, then pairs (a, -a)
         pool_xi, pool_zeta, *own = np.split(block, cuts, axis=1)
-        for idx, (mp, grid, sampler, factor) in enumerate(
-            zip(models, grids, samplers, factors)
-        ):
-            g, r, eta = own[3 * idx: 3 * idx + 3]
-            _, sigma, xi_w, _, x = sampler.paths(
-                g, sampler.block_sums(pool_xi, factor),
-                sampler.block_sums(pool_zeta, factor), r, eta, antithetic=True)
-            hx = np.asarray(payoff(x[:, -1]), dtype=float)
-            # the conditional price of the vol path, control-variated by
-            # that of constant sigma_bar, whose expectation is q0
-            sig = sigma[:, :-1]
-            cond = _conditional_price(
-                mp, (sig * sig).sum(axis=1) * grid.dt,
-                (sig * xi_w).sum(axis=1) * math.sqrt(grid.dt), payoff)
-            cond0 = _conditional_price(
-                mp, gp.sigma_bar**2 * mp.maturity_T,
-                gp.sigma_bar * (xi_w.sum(axis=1) * math.sqrt(grid.dt)), payoff)
-            units = cond - cond0 + prices[idx][0]
-            _, _, qmid = pricing.first_order_price(
-                x[:, grid.n_steps // 2], mp, gp, payoff, 0.5 * mp.maturity_T)
-            pair_units[idx].append(_pair_means(units))
-            interior_units[idx].append(_pair_means(hx - qmid))
+        # every eps on one slab of rows while its draws are in cache
+        for rows in FactorSampler.row_slabs(block.shape[0]):
+            for idx, (mp, grid, sampler, factor) in enumerate(
+                zip(models, grids, samplers, factors)
+            ):
+                g, r, eta = (part[rows] for part in own[3 * idx: 3 * idx + 3])
+                _, sigma, xi_w, _, log_x = sampler.paths(
+                    g, sampler.block_sums(pool_xi[rows], factor),
+                    sampler.block_sums(pool_zeta[rows], factor), r, eta,
+                    antithetic=True)
+                # the bits of X at T/2 and T, without the rest of the path
+                x_mid = mp.x0 * np.exp(log_x[:, grid.n_steps // 2])
+                hx = np.asarray(payoff(mp.x0 * np.exp(log_x[:, -1])), dtype=float)
+                # the conditional price of the vol path, control-variated by
+                # that of constant sigma_bar, whose expectation is q0
+                sig = sigma[:, :-1]
+                cond = _conditional_price(
+                    mp, (sig * sig).sum(axis=1) * grid.dt,
+                    (sig * xi_w).sum(axis=1) * math.sqrt(grid.dt), payoff)
+                cond0 = _conditional_price(
+                    mp, gp.sigma_bar**2 * mp.maturity_T,
+                    gp.sigma_bar * (xi_w.sum(axis=1) * math.sqrt(grid.dt)), payoff)
+                units = cond - cond0 + prices[idx][0]
+                _, _, qmid = pricing.first_order_price(
+                    x_mid, mp, gp, payoff, 0.5 * mp.maturity_T)
+                pair_units[idx].append(_pair_means(units))
+                interior_units[idx].append(_pair_means(hx - qmid))
 
     points = []
     for idx, (e, (q0, _, q_eps)) in enumerate(zip(eps, prices)):

@@ -52,6 +52,8 @@ _ZETA = np.arange(-60, 61) / 6.0
 _W = np.exp(-0.5 * _ZETA * _ZETA) / (6.0 * math.sqrt(2.0 * math.pi))
 _ZETA.flags.writeable = _W.flags.writeable = False
 
+_EXP_ARG_MAX = 709.0  # largest exponent smooth_ramp gives exp; exp(709.79) overflows
+
 _REGIMES = ("FastMeanReverting", "SlowMeanReverting", "SmallAmplitude")
 
 
@@ -126,25 +128,46 @@ class SmoothCustom:
 
 
 def smooth_ramp(center: float, width: float, height: float = 1.0) -> SmoothCustom:
-    """Bounded C-infinity ramp payoff ``h(x) = height * expit((x-center)/width)``.
+    """Bounded C-infinity ramp payoff ``h(x) = height * p(x)``, with the
+    logistic ``p(x) = 1 / (1 + exp((center - x) / width))``.
 
     A smooth, bounded stand-in for a digital/call-spread profile; its
     derivatives are analytic, making it the strict test case for the
-    smooth-payoff pricing proposition.
+    smooth-payoff pricing proposition.  ``p`` is formed on NumPy's
+    ``exp``, whose exponent is at most ``center / width`` at spots ``x >=
+    0``; a ramp is refused where that passes ``_EXP_ARG_MAX``, so ``exp``
+    never overflows there.  (Such a ramp would fail the finite-difference
+    check of :class:`SmoothCustom` anyway, which needs ``center / width``
+    below about 350.)
     """
     if not (center > 0.0 and width > 0.0 and height > 0.0):
         raise ValueError("center, width, height must all be positive")
+    if center / width > _EXP_ARG_MAX:
+        raise ValueError(
+            f"center / width must be at most {_EXP_ARG_MAX}; got {center / width!r}")
+    slope, curve = height / width, height / width**2
+
+    def logistic(x, top=1.0):
+        """``top / (1 + exp((center - x) / width))``, in place on one copy
+        of an array ``x``."""
+        p = center - np.asarray(x, dtype=float)
+        if not p.ndim:
+            return top / (1.0 + np.exp(p / width))
+        p /= width
+        np.exp(p, p)
+        p += 1.0
+        return np.divide(top, p, p)
 
     def h(x):
-        return height * special.expit((np.asarray(x, dtype=float) - center) / width)
+        return logistic(x, height)
 
     def hp(x):
-        p = special.expit((np.asarray(x, dtype=float) - center) / width)
-        return height * p * (1.0 - p) / width
+        p = logistic(x)
+        return p * (1.0 - p) * slope
 
     def hpp(x):
-        p = special.expit((np.asarray(x, dtype=float) - center) / width)
-        return height * p * (1.0 - p) * (1.0 - 2.0 * p) / width**2
+        p = logistic(x)
+        return p * (1.0 - p) * (1.0 - 2.0 * p) * curve
 
     return SmoothCustom(h, hp, hpp, check_points=[0.5 * center, center, 2.0 * center])
 

@@ -44,14 +44,20 @@ variant of :func:`simulate_paths_RL` and of ``convergence_study`` with
 increments since ``t = 0`` only, so ``Z_0 = 0`` and there is no
 ``eta_i``.  :class:`FactorSampler` holds the scheme for one grid in either
 mode, and its :meth:`~FactorSampler.paths` is the one route from standard
-normals to ``(Z, sigma, X)``; :func:`normal_blocks` draws the standard
-normals every simulator and study consumes.
+normals to ``Z``, ``sigma`` and the cumulative log-price ``log(X / x0)``;
+:func:`normal_blocks` draws the standard normals every simulator and
+study consumes.
 
 Each batch of draws comes from its own Philox stream, and
 :func:`normal_blocks` draws the next batch on one helper thread while the
 caller consumes the current one.  ``ROUGHVOL_THREADS`` caps the
 BLAS/OpenMP pools only, not that thread; the output bits depend on
-neither the helper's timing nor the thread count.
+neither the helper's timing nor the thread count.  A batch is turned into
+paths one row slab of ``_SLAB_ROWS`` base rows at a time
+(:meth:`FactorSampler.row_slabs`): :meth:`FactorSampler.bundle` fills the
+batch's arrays slab by slab, and ``convergence_study`` reduces each slab
+to its prices before the next, so a slab's temporaries stay in cache.
+Every row is computed on its own, so no output depends on the slab size.
 
 The price update is the exact lognormal step for piecewise-constant
 volatility, so convergence studies isolate the volatility approximation.
@@ -103,7 +109,7 @@ _OVERSAMPLE = 4  # fine sub-steps per price step in the moving average
 
 _HISTORY_TOL = 1e-16  # largest residual variance the history factor leaves
 _SLAB_DOUBLES = 1 << 15  # entries of a history slab formed at once (256 kB)
-_FFT_SLAB_ROWS = 256  # rows FactorSampler._convolve transforms at once
+_SLAB_ROWS = 128  # base rows a per-batch pass takes at once (FactorSampler.row_slabs)
 
 _SCHEMES = ("TruncatedMovingAverage", "CholeskyExact")
 
@@ -323,23 +329,32 @@ def normal_blocks(seed: int, n_paths: int, ncols: int,
     return blocks()
 
 
-def _x_from_vol(mp: ModelParams, dt: float, sigma: np.ndarray,
-                xi_w: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Exact lognormal price steps for piecewise-constant volatility.
+def _log_price(mp: ModelParams, dt: float, sigma: np.ndarray,
+               xi_w: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """``log(X / x0)`` at the grid times (0 at ``t = 0``) under the exact
+    lognormal price step for piecewise-constant volatility.
 
     The log increment ``-0.5 sig^2 dt + sig sqrt(dt) (rho xi_w +
-    sqrt(1 - rho^2) zeta)`` is formed in one array, each operation rounding
-    as it would out of place, so a batch holds fewer temporaries."""
+    sqrt(1 - rho^2) zeta)`` is formed in the output, each operation
+    rounding as it would out of place, and summed along the row."""
     sig = sigma[:, :-1]
-    log_x = mp.rho * xi_w
-    log_x += math.sqrt(1.0 - mp.rho**2) * zeta
-    log_x *= sig * math.sqrt(dt)
-    log_x += -0.5 * sig**2 * dt
-    np.cumsum(log_x, axis=1, out=log_x)
-    x = np.empty_like(sigma)
-    x[:, 0] = mp.x0
-    np.multiply(mp.x0, np.exp(log_x), out=x[:, 1:])
-    return x
+    log_x = np.empty_like(sigma)
+    log_x[:, 0] = 0.0
+    inc = log_x[:, 1:]
+    np.multiply(mp.rho, xi_w, out=inc)
+    inc += math.sqrt(1.0 - mp.rho**2) * zeta
+    inc *= sig * math.sqrt(dt)
+    inc += -0.5 * sig**2 * dt
+    np.cumsum(inc, axis=1, out=inc)
+    return log_x
+
+
+def _price(x0: float, log_x: np.ndarray, out: Optional[np.ndarray] = None):
+    """``X = x0 exp(log_x)`` into ``out``, by default over ``log_x``; the
+    column ``t = 0`` comes out as ``x0`` exactly."""
+    out = log_x if out is None else out
+    np.exp(log_x, out=out)
+    return np.multiply(x0, out, out=out)
 
 
 def _history_factor(w: np.ndarray, n_hist: int, step: int) -> np.ndarray:
@@ -386,12 +401,12 @@ class FactorSampler:
     Built once per ``(mp, grid)``: it validates the grid, precomputes the
     scheme weights (dimensionless, eps units) and the history factor, and
     turns standard normal draws into factor values, price increments and
-    prices through :meth:`paths` (:meth:`bundle` wraps it for one block of
-    draws).  Stationary by default; with ``zero_start=True`` the factor has
-    no history before ``t = 0``: it is the same scheme with a history
-    factor of rank 0 (no rows), so ``Z_0 = 0``, there is no tail
-    compensator and no repair draw at ``t = 0``, and the warmup of the grid
-    is neither used nor checked.
+    log-prices through :meth:`paths` (:meth:`bundle` wraps it for one block
+    of draws, slab by slab, and forms the prices).  Stationary by default;
+    with ``zero_start=True`` the factor has no history before ``t = 0``: it
+    is the same scheme with a history factor of rank 0 (no rows), so ``Z_0
+    = 0``, there is no tail compensator and no repair draw at ``t = 0``,
+    and the warmup of the grid is neither used nor checked.
 
     The ``kappa n_w`` warmup increments reach the nodes only through the
     map ``A[s, j] = w_conv[kappa s + j]`` (the fine increment ``j + 1``
@@ -479,23 +494,36 @@ class FactorSampler:
         each row of ``xi`` with ``w_conv[:kappa n]``: the entries
         :meth:`_moving_sum` reads.
 
-        Each slab of ``_FFT_SLAB_ROWS`` rows takes the transforms, padded
-        length and product of ``signal.fftconvolve(xi, w_conv[None, :kappa
-        n], mode="full", axes=1)``, and the FFT transforms each row on its
-        own, so the columns have the bits of that call on the whole block
-        while the spectra never hold more than a slab.  The transforms run
-        on the caller's thread alone, whatever ``ROUGHVOL_THREADS`` (which
-        caps the BLAS/OpenMP pools only) and whatever the helper thread of
-        :func:`normal_blocks` is doing; the bits depend on neither.
+        Each of the :meth:`row_slabs` of ``xi`` takes the transforms,
+        padded length and product of ``signal.fftconvolve(xi, w_conv[None,
+        :kappa n], mode="full", axes=1)``, and the FFT transforms each row
+        on its own, so the columns have the bits of that call on the whole
+        block while the spectra never hold more than a slab (a caller that
+        passes one slab, as :meth:`bundle` does, runs one pass).  The
+        transforms run on the caller's thread alone, whatever
+        ``ROUGHVOL_THREADS`` (which caps the BLAS/OpenMP pools only) and
+        whatever the helper thread of :func:`normal_blocks` is doing; the
+        bits depend on neither.
         """
         kn = self.kappa * self.n
         n = sp_fft.next_fast_len(xi.shape[1] + kn - 1, True)
         w_hat = sp_fft.rfft(self.w_conv[:kn], n)
         out = np.empty((xi.shape[0], kn // step))
-        for a in range(0, xi.shape[0], _FFT_SLAB_ROWS):
-            spec = sp_fft.rfft(xi[a: a + _FFT_SLAB_ROWS], n, axis=1) * w_hat
-            out[a: a + _FFT_SLAB_ROWS] = sp_fft.irfft(spec, n, axis=1)[:, step - 1: kn: step]
+        for rows in self.row_slabs(xi.shape[0]):
+            spec = sp_fft.rfft(xi[rows], n, axis=1)
+            spec *= w_hat
+            out[rows] = sp_fft.irfft(spec, n, axis=1,
+                                     overwrite_x=True)[:, step - 1: kn: step]
         return out
+
+    @staticmethod
+    def row_slabs(n_rows: int) -> list:
+        """Slices of ``_SLAB_ROWS`` consecutive rows covering ``n_rows``
+        rows: the slabs a per-batch pass (the convolution, :meth:`bundle`,
+        ``convergence_study``) takes at once, so that a slab's arrays stay
+        in cache.  Each row is computed on its own, so no output depends
+        on the slab size."""
+        return [slice(a, a + _SLAB_ROWS) for a in range(0, n_rows, _SLAB_ROWS)]
 
     def _moving_sum(self, g: np.ndarray, xi: np.ndarray, fine: bool) -> np.ndarray:
         """The moving sum (in ``sigma_ou`` units, no repairs) at the price
@@ -579,30 +607,50 @@ class FactorSampler:
     def block_sums(xi: np.ndarray, m: int) -> np.ndarray:
         """Standardized sums of ``m`` consecutive standardized increments.
 
-        ``m = 1`` returns ``xi`` itself.  For ``m < 8`` the strided views
-        are added in order, as NumPy adds a row that short, so the result
-        has the bits of ``xi.reshape(b, cols // m, m).sum(axis=2)`` (up to
-        the sign of a block of ``-0.0``) without copying a non-contiguous
-        ``xi``.  From 8 terms NumPy unrolls its sum, and the reshape-sum
-        stays."""
+        ``m = 1`` returns ``xi`` itself.  Otherwise the strided views
+        ``xi[:, j::m]`` are added in the order NumPy adds a row of ``m``,
+        so the result has the bits of ``xi.reshape(b, cols // m,
+        m).sum(axis=2)`` (up to the sign of a block of ``-0.0``) without
+        copying a non-contiguous ``xi``: in turn for ``m < 8``, and for
+        ``8 <= m <= 128`` as NumPy's unrolled pairwise sum, eight partial
+        sums of every eighth term added as a tree, then the terms past the
+        last full eight.  Past 128 terms NumPy splits the row, and the
+        reshape-sum stays."""
         if m == 1:
             return xi
         if m < 8:
             total = xi[:, 0::m] + xi[:, 1::m]
             for j in range(2, m):
                 total += xi[:, j::m]
-            return total / math.sqrt(m)
-        b, cols = xi.shape
-        return xi.reshape(b, cols // m, m).sum(axis=2) / math.sqrt(m)
+        elif m <= 128:
+            full = m - m % 8
+            part = [xi[:, j::m] for j in range(8)]
+            for i in range(8, full, 8):
+                part = [p + xi[:, i + j::m] for j, p in enumerate(part)]
+            total = part[0] + part[1]
+            total += part[2] + part[3]
+            rest = part[4] + part[5]
+            rest += part[6] + part[7]
+            total += rest
+            for i in range(full, m):
+                total += xi[:, i::m]
+        else:
+            b, cols = xi.shape
+            total = xi.reshape(b, cols // m, m).sum(axis=2)
+        return total / math.sqrt(m)
 
     def paths(self, g: Optional[np.ndarray], xi: np.ndarray, zeta: np.ndarray,
               r: np.ndarray, eta: Optional[np.ndarray],
               decay: Optional[np.ndarray] = None, antithetic: bool = False):
-        """``(Z, sigma, xi_w, zeta, X)`` from the draws of
+        """``(Z, sigma, xi_w, zeta, log_x)`` from the draws of
         :meth:`z_from_normals` and the orthogonal price shocks ``zeta``;
-        ``xi_w`` are the standardized price increments and ``decay`` is
-        added to ``Z``.  With ``antithetic=True`` the draws are base rows,
-        paired before the vol map, and every output holds both rows."""
+        ``xi_w`` are the standardized price increments, ``log_x`` is the
+        cumulative log-price ``log(X / x0)`` at the grid times (0 at
+        ``t = 0``), and ``decay`` is added to ``Z``.  ``x0 * exp(log_x)``
+        has the bits of the price ``X`` of :meth:`bundle`, so a caller that
+        reads a few times exponentiates only those columns.  With
+        ``antithetic=True`` the draws are base rows, paired before the vol
+        map, and every output holds both rows."""
         z = self.z_from_normals(g, xi, r, eta, antithetic)
         if decay is not None:
             z += decay
@@ -610,20 +658,35 @@ class FactorSampler:
         xi_w = self.block_sums(xi, self.kappa)
         if antithetic:
             xi_w, zeta = self.antithetic(xi_w), self.antithetic(zeta)
-        return z, sigma, xi_w, zeta, _x_from_vol(self.mp, self.grid.dt,
-                                                 sigma, xi_w, zeta)
+        return z, sigma, xi_w, zeta, _log_price(self.mp, self.grid.dt,
+                                                sigma, xi_w, zeta)
 
     def bundle(self, block: np.ndarray, seed: int,
                decay: Optional[np.ndarray] = None,
                antithetic: bool = False) -> PathBundle:
         """:meth:`paths` from one block of ``ncols`` draws (base rows, as
-        :func:`normal_blocks` yields them, with ``antithetic=True``)."""
+        :func:`normal_blocks` yields them, with ``antithetic=True``).
+
+        The bundle's arrays are allocated once and filled one of the
+        :meth:`row_slabs` of the block at a time, each slab's ``log_x``
+        exponentiated into ``X`` in place, so the temporaries of the scheme
+        are a slab's and stay in cache."""
         n, dt, widths = self.n, self.grid.dt, self.widths
-        g, xi, zeta, r, eta = np.split(
+        parts = np.split(
             block, np.cumsum((widths[0], self.kappa * n, n, widths[1])), axis=1)
-        z, sigma, xi_w, zeta, x = self.paths(g, xi, zeta, r, eta, decay, antithetic)
-        return PathBundle(np.arange(n + 1) * dt, math.sqrt(dt) * xi_w,
-                          math.sqrt(dt) * zeta, z, sigma, x, seed)
+        pair = 2 if antithetic else 1
+        rows = pair * block.shape[0]
+        dW, dB = np.empty((rows, n)), np.empty((rows, n))
+        z_all, sigma_all, x_all = (np.empty((rows, n + 1)) for _ in range(3))
+        for base in self.row_slabs(block.shape[0]):
+            out = slice(pair * base.start, pair * base.stop)
+            z_all[out], sigma_all[out], xi_w, zeta, log_x = self.paths(
+                *(part[base] for part in parts), decay, antithetic)
+            np.multiply(math.sqrt(dt), xi_w, out=dW[out])
+            np.multiply(math.sqrt(dt), zeta, out=dB[out])
+            _price(self.mp.x0, log_x, out=x_all[out])
+        return PathBundle(np.arange(n + 1) * dt, dW, dB, z_all, sigma_all,
+                          x_all, seed)
 
 
 def _exact_joint_cov(mp: ModelParams, grid: SimGrid):
@@ -772,7 +835,7 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
             dw = zw[:, n + 1:]
             zeta = block[:, 2 * n + 1:]
             sigma = mp.vol_fn(z)
-            x = _x_from_vol(mp, dt, sigma, dw / math.sqrt(dt), zeta)
+            x = _price(mp.x0, _log_price(mp, dt, sigma, dw / math.sqrt(dt), zeta))
             return PathBundle(times, dw, math.sqrt(dt) * zeta, z, sigma, x, seed)
     # map keeps no block between batches: while the caller holds a bundle,
     # the only blocks alive are the stream's last and the one drawn ahead

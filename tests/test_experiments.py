@@ -23,7 +23,7 @@ from roughvol.simulate import (
     concat_bundles,
     simulate_paths,
 )
-from roughvol import experiments
+from roughvol import experiments, simulate
 from roughvol.experiments import (
     ConvergenceReport,
     MCEstimate,
@@ -249,6 +249,43 @@ def test_convergence_zero_start_variant():
                             zero_start=True)
     assert rep.verdict.startswith("decreasing")
     assert all(np.isfinite(p.error) for p in rep.points)
+
+
+@pytest.mark.parametrize("payoff", [Call(1.0), PAYOFF], ids=["call", "ramp"])
+def test_convergence_study_does_not_depend_on_the_slab_size(payoff, monkeypatch):
+    # 600 paths: 300 base rows in slabs of 1 and 3 rows, the default's full
+    # slabs and a short last one, and one slab as large as a whole batch
+    mp = make_model(maturity_T=0.25)
+    assert 300 % simulate._SLAB_ROWS
+
+    def report(size):
+        monkeypatch.setattr(simulate, "_SLAB_ROWS", size)
+        return convergence_study(mp, EPS_GRID, payoff, n_paths=600, seed=4).to_json()
+
+    ref = report(simulate._SLAB_ROWS)
+    for size in (1, 3, 4096):
+        assert report(size) == ref, size
+
+
+def test_convergence_study_holds_one_block_and_a_slab():
+    # the studies benchmark's convergence config at one batch of 4,096
+    # paths: a block of 2,048 x 2,858 base draws (44.7 MiB).  Per-eps
+    # arrays of a whole batch took the traced peak to 130 MiB; a slab's
+    # arrays add a few MiB.
+    mp = make_model(maturity_T=1.0)
+    n_fine, models, grids, _ = experiments._dyadic_grids(mp, EPS_GRID, 4, 24.0)
+    ncols = 5 * n_fine + sum(sum(FactorSampler(m, g).widths)
+                             for m, g in zip(models, grids))
+    block = 2048 * ncols * 8
+    assert ncols == 2858
+    tracemalloc.start()
+    try:
+        rep = convergence_study(mp, EPS_GRID, PAYOFF, n_paths=4096, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.n_paths == 4096
+    assert peak < block + 16 * 2**20
 
 
 @pytest.mark.parametrize("rho", [1.0, -1.0])

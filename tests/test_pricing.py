@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,35 @@ def test_smooth_ramp_shape():
     assert ramp(0.2) == pytest.approx(0.0, abs=1e-3)
     x = np.linspace(0.2, 3.0, 101)
     assert np.all(np.diff(ramp(x)) > 0.0)
+
+
+@pytest.mark.parametrize("center, width, height", [
+    (1.0, 0.1, 1.0), (1.0, 0.02, 2.5), (3.0, 1.0, 0.3), (1.0, 1.0 / 350.0, 1.0)])
+def test_smooth_ramp_matches_expit(center, width, height):
+    # NumPy's exp against scipy's expit, at spots from 1e-300 to 1e300 and
+    # across the ramp, with no overflow (or other) warning on the way
+    x = np.concatenate([np.logspace(-300, 300, 601),
+                        center * np.linspace(0.5, 1.5, 2001)])
+    ramp = smooth_ramp(center, width, height)
+    p = special.expit((x - center) / width)
+    hp = height * p * (1.0 - p) / width
+    hpp = height * p * (1.0 - p) * (1.0 - 2.0 * p) / width**2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ramp.h(x), ramp.h_prime(x), ramp.h_double_prime(x)
+        scalars = ramp.h(center), ramp.h_double_prime(1e300)
+    assert np.max(np.abs(got[0] - height * p)) <= 4.5e-16 * height
+    assert np.max(np.abs(got[1] - hp)) <= 1e-14 * np.max(np.abs(hp))
+    assert np.max(np.abs(got[2] - hpp)) <= 1e-14 * np.max(np.abs(hpp))
+    assert all(isinstance(v, np.float64) for v in scalars)
+    assert scalars == (0.5 * height, 0.0)
+
+
+def test_smooth_ramp_refuses_a_ramp_whose_exp_could_overflow():
+    # center / width above 709: exp((center - x) / width) could overflow at
+    # spots near 0 (the finite-difference check refuses it past ~355 too)
+    with pytest.raises(ValueError, match="center / width must be at most 709"):
+        smooth_ramp(1.0, 1e-3)
 
 
 # ---------------------------------------------------------------------------

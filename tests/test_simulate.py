@@ -27,7 +27,7 @@ from roughvol.simulate import (
     normal_blocks,
     simulate_paths,
     simulate_paths_RL,
-    _FFT_SLAB_ROWS,
+    _SLAB_ROWS,
     _exact_joint_cov,
     _scheme_joint_cov,
 )
@@ -207,7 +207,7 @@ def test_antithetic_rows_are_negated_draws():
     assert np.array_equal(b.dB[0::2], -b.dB[1::2])
 
 
-@pytest.mark.parametrize("m", range(1, 10))
+@pytest.mark.parametrize("m", [*range(1, 18), 24, 29, 64, 127, 128, 129])
 def test_block_sums_have_the_bits_of_the_reshape_sum(m):
     # a column slice of a wider block, as convergence_study passes its pool
     block = np.random.default_rng(m).standard_normal((37, 120 * m + 5))
@@ -570,13 +570,52 @@ def test_convolve_matches_fftconvolve(zero_start):
     rng = np.random.default_rng(1)
     for width in sorted(widths):
         # row counts on both sides of a slab boundary, up to a full block
-        for rows in (1, 7, 64, _FFT_SLAB_ROWS, _FFT_SLAB_ROWS + 1, 2048):
+        for rows in (1, 7, 64, _SLAB_ROWS, _SLAB_ROWS + 1, 2048):
             xi = rng.standard_normal((rows, width))
             ref = signal.fftconvolve(xi, s.w_conv[None, :kn], mode="full", axes=1)
             # the columns _moving_sum reads at the price and the fine nodes
             for step in (kap, 1):
                 got = s._convolve(xi, step)
                 assert got.tobytes() == ref[:, step - 1: kn: step].tobytes(), (rows, step)
+
+
+@pytest.mark.parametrize("route", ["plain", "antithetic", "rl"])
+def test_bundle_does_not_depend_on_the_slab_size(route, monkeypatch):
+    # 300 rows: slabs of 1 and 3 rows, the default's full slabs and a short
+    # last one, and a single slab as large as a whole batch
+    mp = make_model()
+    grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0)
+    s = FactorSampler(mp, grid, zero_start=route == "rl")
+    decay = 0.4 * np.exp(-np.arange(s.n + 1) * s.delta) if route == "rl" else None
+    antithetic = route != "plain"
+    block = next(normal_blocks(13, 600 if antithetic else 300, s.ncols, antithetic))
+    assert block.shape[0] == 300 and 300 % _SLAB_ROWS
+
+    def arrays(size):
+        monkeypatch.setattr(roughvol.simulate, "_SLAB_ROWS", size)
+        assert len(s.row_slabs(300)) == -(-300 // size)
+        b = s.bundle(block, 13, decay, antithetic)
+        return [getattr(b, name).tobytes()
+                for name in ("times", "dW", "dB", "Z", "sigma", "X")]
+
+    ref = arrays(_SLAB_ROWS)
+    for size in (1, 3, 4096):
+        assert arrays(size) == ref, size
+
+
+def test_paths_log_price_gives_the_bundle_prices():
+    # x0 exp(log_x) at any column has the bits of the bundle's X there
+    mp = make_model(x0=1.3)
+    grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0)
+    s = FactorSampler(mp, grid)
+    block = next(normal_blocks(2, 40, s.ncols, antithetic=True))
+    g, xi, zeta, r, eta = np.split(
+        block, np.cumsum((s.widths[0], s.kappa * s.n, s.n, s.widths[1])), axis=1)
+    log_x = s.paths(g, xi, zeta, r, eta, antithetic=True)[-1]
+    x = s.bundle(block, 2, antithetic=True).X
+    assert log_x.shape == x.shape and not log_x[:, 0].any()
+    for col in (0, s.n // 2, s.n):
+        assert (mp.x0 * np.exp(log_x[:, col])).tobytes() == x[:, col].tobytes()
 
 
 def _interleaved_blocks(seed, n_paths, ncols):
