@@ -20,7 +20,9 @@ failures (quadrature non-convergence or floating-point breakdown).
 The environment variable ``ROUGHVOL_THREADS`` caps the linear-algebra
 (BLAS/OpenMP) thread pools only.  The simulations also run one helper
 thread that draws the next batch of normals ahead; the output bits depend
-on neither it nor the cap.  The cap is applied by ``import roughvol``,
+on neither it nor the cap, except under ``[grid] scheme =
+"CholeskyExact"``, whose Cholesky factor is applied by a BLAS product, so
+its paths and prices follow the cap.  The cap is applied by ``import roughvol``,
 before NumPy loads, so it has no effect in a process that imported NumPy
 first.
 """

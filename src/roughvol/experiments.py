@@ -521,8 +521,19 @@ class VarthetaReport(_ReportMixin):
 
 
 def _trapezoid_cells(profile: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Per-path trapezoid rule over cells weighted by exact kernel masses."""
-    return 0.5 * (profile[:, :-1] + profile[:, 1:]) @ masses
+    """Per-path trapezoid rule over the cells between the columns of
+    ``profile``, weighted by ``masses``.  Each row is summed by NumPy along
+    a C-ordered copy of its row slab, not by a BLAS product, whose rounding
+    of a row can depend on the operand's memory layout or the thread
+    count.  A slab is first copied in its own layout, so that a node-major
+    ``profile`` is reordered in cache."""
+    out = np.empty(profile.shape[0])
+    for rows in FactorSampler.row_slabs(profile.shape[0]):
+        slab = np.ascontiguousarray(profile[rows].copy(order="K"))
+        cells = 0.5 * (slab[:, :-1] + slab[:, 1:])
+        cells *= masses
+        out[rows] = cells.sum(axis=1)
+    return out
 
 
 def vartheta_check(mp: ModelParams, grid: SimGrid, n_paths: int = N_PATHS_LEMMA,
@@ -681,12 +692,11 @@ def phi_variance_check(mp_base: ModelParams, eps_grid: Sequence[float],
     for mp, grid, sub_seed in _eps_sweep(mp_base, eps, seed, points_per_eps,
                                          warmup_mult):
         sampler = FactorSampler(mp, grid)
-        trap_w = np.full(sampler.n + 1, grid.dt)
-        trap_w[0] = trap_w[-1] = 0.5 * grid.dt
+        cells = np.full(sampler.n, grid.dt)
         phis = []
         for block in normal_blocks(sub_seed, n_mc, sampler.widths[0]):
             gprof = gaussian_profile(g_fn, mp.hurst, *sampler.conditional_law(block))
-            phis.append(gprof @ trap_w)
+            phis.append(_trapezoid_cells(gprof, cells))
         phi = np.concatenate(phis)
         sq = phi**2
         mean_sq.append(float(sq.mean()))

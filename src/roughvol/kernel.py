@@ -36,14 +36,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy import integrate, optimize, special
 
 __all__ = [
-    "Hurst",
     "KernelEval",
     "CovarianceEval",
     "sigma_ou",
@@ -90,30 +88,12 @@ def _hurst_value(h) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Hurst:
-    """Hurst exponent restricted to the rough regime ``0 < H < 1/2``.
-
-    Values in ``[1/2, 1)`` describe long-range-correlated volatility and are
-    rejected: the expansions implemented here are specific to short-range
-    (rough) volatility.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _hurst_value(self.value))
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def sigma_ou(h) -> float:
     """Stationary standard deviation of the fOU factor, ``sqrt(1/(2 sin(pi H)))``.
 
     Parameters
     ----------
-    h : float or Hurst
+    h : float
         Hurst exponent in ``(0, 1/2)``.
 
     Returns
@@ -146,7 +126,7 @@ class KernelEval:
 
     Parameters
     ----------
-    hurst : float or Hurst
+    hurst : float
         Hurst exponent in ``(0, 1/2)``.
 
     Notes
@@ -188,14 +168,6 @@ class KernelEval:
                 "kernel evaluation routes disagree at the split "
                 f"{_SPLIT_POINT}: {small!r} vs {large!r}"
             )
-
-    @property
-    def sigma_H(self) -> float:
-        """Scale constant of the underlying fractional noise.
-
-        Defined through ``sigma_ou^2 = Gamma(2H+1) sigma_H^2 / 2``.
-        """
-        return self.sigma_ou * math.sqrt(2.0 / float(special.gamma(2.0 * self.hurst + 1.0)))
 
     # -- kernel values -----------------------------------------------------
 
@@ -525,7 +497,7 @@ class CovarianceEval:
 
     Parameters
     ----------
-    hurst : float or Hurst
+    hurst : float
         Hurst exponent in ``(0, 1/2)``.
 
     Notes

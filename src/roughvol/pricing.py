@@ -80,7 +80,10 @@ class SmoothCustom:
     """Smooth payoff given by ``h`` with its first two derivatives.
 
     The derivatives are cross-checked against central finite differences of
-    ``h`` at construction; inconsistent handles raise ``ValueError``.
+    ``h`` at construction; inconsistent handles raise ``ValueError``.  The
+    differences are taken at the steps ``s = 1e-4 x`` and ``s / 2``, and the
+    tolerance includes their gap, which estimates the truncation error of
+    the finer one, so a payoff narrow against ``s`` is not refused.
 
     Parameters
     ----------
@@ -108,20 +111,21 @@ class SmoothCustom:
         if pts.size == 0 or np.any(pts <= 0.0):
             raise ValueError("check_points must be positive and non-empty")
         scale = float(np.max(np.abs(h(pts)))) + 1.0
+
+        def differences(x, step):
+            lo, mid, hi = h(x - step), h(x), h(x + step)
+            return (hi - lo) / (2.0 * step), (hi - 2.0 * mid + lo) / step**2
+
         for x in pts:
-            step = 1e-4 * x
-            fd1 = (h(x + step) - h(x - step)) / (2.0 * step)
-            fd2 = (h(x + step) - 2.0 * h(x) + h(x - step)) / step**2
-            if abs(h_prime(x) - fd1) > 1e-4 * (abs(fd1) + scale / x):
-                raise ValueError(
-                    f"h_prime inconsistent with h at x={x}: "
-                    f"{h_prime(x)!r} vs finite difference {fd1!r}"
-                )
-            if abs(h_double_prime(x) - fd2) > 1e-3 * (abs(fd2) + scale / x**2):
-                raise ValueError(
-                    f"h_double_prime inconsistent with h at x={x}: "
-                    f"{h_double_prime(x)!r} vs finite difference {fd2!r}"
-                )
+            coarse, fine = differences(x, 1e-4 * x), differences(x, 0.5e-4 * x)
+            checks = (("h_prime", h_prime, 1e-4 * scale / x, 1e-4),
+                      ("h_double_prime", h_double_prime, 1e-3 * scale / x**2, 1e-3))
+            for (name, fn, floor, rel), fd, gap in zip(
+                    checks, fine, np.subtract(coarse, fine)):
+                # the gap is about three times the error of the finer step
+                if abs(fn(x) - fd) > rel * abs(fd) + floor + abs(gap):
+                    raise ValueError(f"{name} inconsistent with h at x={x}: "
+                                     f"{fn(x)!r} vs finite difference {fd!r}")
 
     def __call__(self, x):
         return self.h(np.asarray(x, dtype=float))
@@ -136,9 +140,7 @@ def smooth_ramp(center: float, width: float, height: float = 1.0) -> SmoothCusto
     smooth-payoff pricing proposition.  ``p`` is formed on NumPy's
     ``exp``, whose exponent is at most ``center / width`` at spots ``x >=
     0``; a ramp is refused where that passes ``_EXP_ARG_MAX``, so ``exp``
-    never overflows there.  (Such a ramp would fail the finite-difference
-    check of :class:`SmoothCustom` anyway, which needs ``center / width``
-    below about 350.)
+    never overflows there.
     """
     if not (center > 0.0 and width > 0.0 and height > 0.0):
         raise ValueError("center, width, height must all be positive")

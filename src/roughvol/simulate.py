@@ -52,12 +52,16 @@ Each batch of draws comes from its own Philox stream, and
 :func:`normal_blocks` draws the next batch on one helper thread while the
 caller consumes the current one.  ``ROUGHVOL_THREADS`` caps the
 BLAS/OpenMP pools only, not that thread; the output bits depend on
-neither the helper's timing nor the thread count.  A batch is turned into
-paths one row slab of ``_SLAB_ROWS`` base rows at a time
-(:meth:`FactorSampler.row_slabs`): :meth:`FactorSampler.bundle` fills the
-batch's arrays slab by slab, and ``convergence_study`` reduces each slab
-to its prices before the next, so a slab's temporaries stay in cache.
-Every row is computed on its own, so no output depends on the slab size.
+neither the helper's timing nor the thread count, with one exception: the
+``CholeskyExact`` scheme applies its Cholesky factor by a BLAS product,
+so its bits follow the BLAS thread count.  A batch is cut into row slabs
+of ``_SLAB_ROWS`` base rows (:meth:`FactorSampler.row_slabs`), and only
+there: one pass fills a batch's arrays slab by slab for either scheme,
+:meth:`FactorSampler.conditional_law` forms its means slab by slab, and
+``convergence_study`` reduces each slab to its prices before the next, so
+a slab's temporaries stay in cache.  Each row is computed on its own, so
+the first ``m`` paths do not depend on how many are drawn, and no output
+of the moving-average scheme depends on the slab size.
 
 The price update is the exact lognormal step for piecewise-constant
 volatility, so convergence studies isolate the volatility approximation.
@@ -70,6 +74,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -357,6 +362,43 @@ def _price(x0: float, log_x: np.ndarray, out: Optional[np.ndarray] = None):
     return np.multiply(x0, out, out=out)
 
 
+def _vol_and_price(mp: ModelParams, dt: float, z: np.ndarray, xi_w: np.ndarray,
+                   zeta: np.ndarray, antithetic: bool):
+    """``(Z, sigma, xi_w, zeta, log_x)`` from the factor ``z`` (already
+    paired when ``antithetic``) and the standardized price increments
+    ``xi_w`` and orthogonal shocks ``zeta`` of the base rows, which are
+    paired here: the vol map and the price step of both schemes."""
+    sigma = mp.vol_fn(z)
+    if antithetic:
+        xi_w, zeta = FactorSampler.antithetic(xi_w), FactorSampler.antithetic(zeta)
+    return z, sigma, xi_w, zeta, _log_price(mp, dt, sigma, xi_w, zeta)
+
+
+def _bundle(x0: float, grid: SimGrid, block: np.ndarray, seed: int,
+            antithetic: bool, slab_paths) -> PathBundle:
+    """A batch's :class:`PathBundle` from one block of draws (base rows
+    with ``antithetic=True``): the one path pass of both schemes.
+
+    ``slab_paths`` maps one of the :meth:`FactorSampler.row_slabs` of the
+    block to its ``(Z, sigma, xi_w, zeta, log_x)``, as
+    :func:`_vol_and_price` returns them.  The arrays are allocated once and
+    filled slab by slab, each slab's ``log_x`` exponentiated into ``X`` in
+    place, so the temporaries of a scheme are a slab's and stay in cache.
+    """
+    n, dt = grid.n_steps, grid.dt
+    pair = 2 if antithetic else 1
+    rows = pair * block.shape[0]
+    dW, dB = np.empty((rows, n)), np.empty((rows, n))
+    z_all, sigma_all, x_all = (np.empty((rows, n + 1)) for _ in range(3))
+    for base in FactorSampler.row_slabs(block.shape[0]):
+        out = slice(pair * base.start, pair * base.stop)
+        z_all[out], sigma_all[out], xi_w, zeta, log_x = slab_paths(block[base])
+        np.multiply(math.sqrt(dt), xi_w, out=dW[out])
+        np.multiply(math.sqrt(dt), zeta, out=dB[out])
+        _price(x0, log_x, out=x_all[out])
+    return PathBundle(np.arange(n + 1) * dt, dW, dB, z_all, sigma_all, x_all, seed)
+
+
 def _history_factor(w: np.ndarray, n_hist: int, step: int) -> np.ndarray:
     """Rows ``F`` with ``F^T F = A A^T`` up to a residual variance of
     ``_HISTORY_TOL`` for the history map ``A[s, j] = w[step s + j]``,
@@ -494,56 +536,47 @@ class FactorSampler:
         each row of ``xi`` with ``w_conv[:kappa n]``: the entries
         :meth:`_moving_sum` reads.
 
-        Each of the :meth:`row_slabs` of ``xi`` takes the transforms,
-        padded length and product of ``signal.fftconvolve(xi, w_conv[None,
-        :kappa n], mode="full", axes=1)``, and the FFT transforms each row
-        on its own, so the columns have the bits of that call on the whole
-        block while the spectra never hold more than a slab (a caller that
-        passes one slab, as :meth:`bundle` does, runs one pass).  The
-        transforms run on the caller's thread alone, whatever
-        ``ROUGHVOL_THREADS`` (which caps the BLAS/OpenMP pools only) and
-        whatever the helper thread of :func:`normal_blocks` is doing; the
-        bits depend on neither.
+        One pass takes the transforms, padded length and product of
+        ``signal.fftconvolve(xi, w_conv[None, :kappa n], mode="full",
+        axes=1)`` on the rows it is given; the FFT transforms each row on
+        its own, so a row has the bits of that call on any block holding
+        it, and a caller bounds the spectra by passing one of the
+        :meth:`row_slabs`.  The transforms run on the caller's thread
+        alone, whatever ``ROUGHVOL_THREADS`` (which caps the BLAS/OpenMP
+        pools only) and whatever the helper thread of :func:`normal_blocks`
+        is doing; the bits depend on neither.
         """
         kn = self.kappa * self.n
         n = sp_fft.next_fast_len(xi.shape[1] + kn - 1, True)
-        w_hat = sp_fft.rfft(self.w_conv[:kn], n)
-        out = np.empty((xi.shape[0], kn // step))
-        for rows in self.row_slabs(xi.shape[0]):
-            spec = sp_fft.rfft(xi[rows], n, axis=1)
-            spec *= w_hat
-            out[rows] = sp_fft.irfft(spec, n, axis=1,
-                                     overwrite_x=True)[:, step - 1: kn: step]
-        return out
+        spec = sp_fft.rfft(xi, n, axis=1)
+        spec *= sp_fft.rfft(self.w_conv[:kn], n)
+        return sp_fft.irfft(spec, n, axis=1, overwrite_x=True)[:, step - 1: kn: step]
 
     @staticmethod
     def row_slabs(n_rows: int) -> list:
         """Slices of ``_SLAB_ROWS`` consecutive rows covering ``n_rows``
-        rows: the slabs a per-batch pass (the convolution, :meth:`bundle`,
-        ``convergence_study``) takes at once, so that a slab's arrays stay
-        in cache.  Each row is computed on its own, so no output depends
-        on the slab size."""
+        rows: the slabs a per-batch pass (:meth:`bundle` and the
+        ``CholeskyExact`` pass of :func:`simulate_paths`,
+        :meth:`conditional_law`, ``convergence_study``) takes at once, so
+        that a slab's arrays stay in cache.  Each row is computed on its
+        own, so no output of the moving-average scheme depends on the slab
+        size."""
         return [slice(a, a + _SLAB_ROWS) for a in range(0, n_rows, _SLAB_ROWS)]
 
     def _moving_sum(self, g: np.ndarray, xi: np.ndarray, fine: bool) -> np.ndarray:
         """The moving sum (in ``sigma_ou`` units, no repairs) at the price
-        nodes or the fine nodes: the history ``F^T g`` plus the first
-        ``xi.shape[1]`` fine increments on ``[0, T]``."""
+        nodes or the fine nodes, one C-ordered row per row of ``g``: the
+        history ``F^T g`` plus the first ``xi.shape[1]`` fine increments on
+        ``[0, T]``."""
         factor = self.history_factor(fine)
-        nodes, rows = factor.shape[1], xi.shape[0]
-        total = np.zeros((nodes, rows))
+        total = np.zeros((xi.shape[0], factor.shape[1]))
         if factor.shape[0]:  # none when zero-started
             # one row of F at a time, not g @ F, whose BLAS rounding can
-            # vary with the block's row count or the thread count.  Summed
-            # as nodes x rows, a slab of nodes at a time, so each product
-            # runs along the rows and the slab stays cached.
-            g_t = g.T.copy()
-            span = max(1, _SLAB_DOUBLES // rows)
-            for a in range(0, nodes, span):
-                slab = total[a: a + span]
-                for coef, part in zip(g_t, factor[:, a: a + span]):
-                    slab += part[:, None] * coef
-        total = total.T
+            # vary with the block's row count or the thread count.  The
+            # outer product sums nothing, so einsum rounds it as coef * part
+            # does, but faster on a slab's short rows
+            for coef, part in zip(g.T, factor):
+                total += np.einsum("r,s->rs", coef, part)
         if xi.shape[1]:
             # node s sees the increments before it: entry s - 1 of the sum
             total[:, 1:] += self._convolve(xi, 1 if fine else self.kappa)
@@ -569,8 +602,7 @@ class FactorSampler:
         zero-started).  With ``antithetic=True`` the draws are base rows
         and the result holds each row's antithetic pair.
         """
-        # C order, as the arithmetic below and the vol map run faster on it
-        z = np.ascontiguousarray(self._moving_sum(g, xi, False))
+        z = self._moving_sum(g, xi, False)
         z[:, -r.shape[1]:] += self.r_std * r
         if not self.zero_start:
             z += self.eta_std * eta
@@ -591,7 +623,10 @@ class FactorSampler:
         nodes, from the node where ``xi`` ends.  Given that past ``Z_s`` is
         Gaussian: the mean is ``sigma_ou`` times the moving sum (no
         repairs), the variance ``sigma_ou^2 int_0^{(s - t)/eps} K^2`` with
-        ``t`` the end of ``xi``; the variances are built once and kept."""
+        ``t`` the end of ``xi``; the variances are built once and kept.
+        The means are formed one of the :meth:`row_slabs` at a time and
+        stored node by node (each node's column contiguous), the order in
+        which ``gaussian_profile`` reads them."""
         if xi is None:
             xi = np.empty((g.shape[0], 0))
         step = 1 if fine else self.kappa
@@ -600,7 +635,11 @@ class FactorSampler:
             self._variances[fine] = self.sig_ou**2 * self.ke.ksq_cum_grid(
                 spacing, self.kappa * self.n // step)
         start = xi.shape[1] // step
-        means = (self.sig_ou * self._moving_sum(g, xi, fine))[:, start:]
+        means = np.empty((self.kappa * self.n // step + 1 - start, g.shape[0])).T
+        for rows in self.row_slabs(g.shape[0]):
+            total = self._moving_sum(g[rows], xi[rows], fine)
+            total *= self.sig_ou
+            means[rows] = total[:, start:]
         return means, self._variances[fine][: means.shape[1]]
 
     @staticmethod
@@ -654,39 +693,20 @@ class FactorSampler:
         z = self.z_from_normals(g, xi, r, eta, antithetic)
         if decay is not None:
             z += decay
-        sigma = self.mp.vol_fn(z)
-        xi_w = self.block_sums(xi, self.kappa)
-        if antithetic:
-            xi_w, zeta = self.antithetic(xi_w), self.antithetic(zeta)
-        return z, sigma, xi_w, zeta, _log_price(self.mp, self.grid.dt,
-                                                sigma, xi_w, zeta)
+        return _vol_and_price(self.mp, self.grid.dt, z,
+                              self.block_sums(xi, self.kappa), zeta, antithetic)
 
     def bundle(self, block: np.ndarray, seed: int,
                decay: Optional[np.ndarray] = None,
                antithetic: bool = False) -> PathBundle:
         """:meth:`paths` from one block of ``ncols`` draws (base rows, as
-        :func:`normal_blocks` yields them, with ``antithetic=True``).
-
-        The bundle's arrays are allocated once and filled one of the
-        :meth:`row_slabs` of the block at a time, each slab's ``log_x``
-        exponentiated into ``X`` in place, so the temporaries of the scheme
-        are a slab's and stay in cache."""
-        n, dt, widths = self.n, self.grid.dt, self.widths
-        parts = np.split(
-            block, np.cumsum((widths[0], self.kappa * n, n, widths[1])), axis=1)
-        pair = 2 if antithetic else 1
-        rows = pair * block.shape[0]
-        dW, dB = np.empty((rows, n)), np.empty((rows, n))
-        z_all, sigma_all, x_all = (np.empty((rows, n + 1)) for _ in range(3))
-        for base in self.row_slabs(block.shape[0]):
-            out = slice(pair * base.start, pair * base.stop)
-            z_all[out], sigma_all[out], xi_w, zeta, log_x = self.paths(
-                *(part[base] for part in parts), decay, antithetic)
-            np.multiply(math.sqrt(dt), xi_w, out=dW[out])
-            np.multiply(math.sqrt(dt), zeta, out=dB[out])
-            _price(self.mp.x0, log_x, out=x_all[out])
-        return PathBundle(np.arange(n + 1) * dt, dW, dB, z_all, sigma_all,
-                          x_all, seed)
+        :func:`normal_blocks` yields them, with ``antithetic=True``), filled
+        into the batch's arrays one of the :meth:`row_slabs` at a time by
+        :func:`_bundle`."""
+        cuts = np.cumsum((self.widths[0], self.kappa * self.n, self.n, self.widths[1]))
+        return _bundle(self.mp.x0, self.grid, block, seed, antithetic,
+                       lambda slab: self.paths(*np.split(slab, cuts, axis=1),
+                                               decay, antithetic))
 
 
 def _exact_joint_cov(mp: ModelParams, grid: SimGrid):
@@ -724,6 +744,36 @@ def _exact_factor(mp: ModelParams, grid: SimGrid):
         )
     cov = _exact_joint_cov(mp, grid)
     return (cov, *jittered_cholesky(cov))
+
+
+def _exact_slab_paths(mp: ModelParams, grid: SimGrid, antithetic: bool):
+    """``(ncols, slab_paths)`` of the ``CholeskyExact`` scheme for
+    :func:`_bundle`.
+
+    A row of draws holds ``2n + 1`` standard normals, which the
+    :func:`_exact_factor` maps to ``(Z_0..Z_n, dW_0..dW_{n-1})``, then the
+    ``n`` orthogonal price shocks; the factor's ``dW`` rows are divided by
+    ``sqrt(dt)``, so the product gives the standardized increments.  The
+    product runs on the base rows, which :func:`_vol_and_price` pairs after
+    it.  It is a BLAS product of one fixed shape: each slab is padded with
+    zero rows to ``_SLAB_ROWS`` rows, and slabs start at multiples of
+    ``_SLAB_ROWS`` in a batch, so a row's bits depend neither on the other
+    rows nor on how many are drawn.  They do depend on the BLAS thread
+    count, which ``ROUGHVOL_THREADS`` caps.
+    """
+    _, chol, _ = _exact_factor(mp, grid)
+    n, k = grid.n_steps, 2 * grid.n_steps + 1
+    lin = chol.T.copy()  # base rows @ lin = (Z, dW / sqrt(dt))
+    lin[:, n + 1:] /= math.sqrt(grid.dt)
+
+    def slab_paths(slab):
+        base = np.zeros((_SLAB_ROWS, k))
+        base[: slab.shape[0]] = slab[:, :k]
+        zx = (base @ lin)[: slab.shape[0]]
+        z = FactorSampler.antithetic(zx[:, : n + 1]) if antithetic else zx[:, : n + 1]
+        return _vol_and_price(mp, grid.dt, z, zx[:, n + 1:], slab[:, k:], antithetic)
+
+    return 3 * n + 1, slab_paths
 
 
 def _scheme_joint_cov(mp: ModelParams, grid: SimGrid) -> np.ndarray:
@@ -797,13 +847,17 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
 
     Reproducible: the same ``(mp, grid, n_paths, seed, antithetic)`` give
     bit-identical output, and the first ``m`` paths do not depend on
-    ``n_paths >= m``.  With ``antithetic=True`` consecutive rows
+    ``n_paths >= m``.  The bits do not depend on the BLAS/OpenMP thread
+    count either, except under ``CholeskyExact``, whose Cholesky factor is
+    applied by a BLAS product: there they follow the count that
+    ``ROUGHVOL_THREADS`` caps.  With ``antithetic=True`` consecutive rows
     ``(2m, 2m+1)`` use negated Gaussian draws (``n_paths`` must be even);
-    the linear part of the scheme runs once per pair, on the base rows of
-    :func:`normal_blocks`, with the bits of running it on both rows.  Each
-    yielded bundle owns its arrays, so a caller may keep them while the
-    stream goes on; one that drops each bundle before asking for the next
-    holds one batch of paths at a time.
+    under either scheme the linear part runs once per pair, on the base
+    rows of :func:`normal_blocks`, and is paired by
+    :meth:`FactorSampler.antithetic`.  Each yielded bundle owns its
+    arrays, so a caller may keep them while the stream goes on; one that
+    drops each bundle before asking for the next holds one batch of paths
+    at a time.
 
     Raises
     ------
@@ -816,27 +870,11 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
     if grid.scheme == "TruncatedMovingAverage":
         sampler = FactorSampler(mp, grid)
         ncols = sampler.ncols
-
-        def bundle(block):
-            return sampler.bundle(block, seed, antithetic=antithetic)
+        bundle = partial(sampler.bundle, seed=seed, antithetic=antithetic)
     else:
-        _, chol, _ = _exact_factor(mp, grid)
-        n, dt = grid.n_steps, grid.dt
-        times = np.arange(n + 1) * dt
-        ncols = 3 * n + 1
-
-        def bundle(block):
-            if antithetic:
-                # paired before the product: a BLAS kernel may sum a row in
-                # an order that depends on the row's position in the block
-                block = FactorSampler.antithetic(block)
-            zw = block[:, : 2 * n + 1] @ chol.T
-            z = zw[:, : n + 1]
-            dw = zw[:, n + 1:]
-            zeta = block[:, 2 * n + 1:]
-            sigma = mp.vol_fn(z)
-            x = _price(mp.x0, _log_price(mp, dt, sigma, dw / math.sqrt(dt), zeta))
-            return PathBundle(times, dw, math.sqrt(dt) * zeta, z, sigma, x, seed)
+        ncols, slab_paths = _exact_slab_paths(mp, grid, antithetic)
+        bundle = partial(_bundle, mp.x0, grid, seed=seed, antithetic=antithetic,
+                         slab_paths=slab_paths)
     # map keeps no block between batches: while the caller holds a bundle,
     # the only blocks alive are the stream's last and the one drawn ahead
     yield from map(bundle, normal_blocks(seed, n_paths, ncols, antithetic))

@@ -14,7 +14,6 @@ from scipy import integrate, special
 
 from roughvol.kernel import (
     CovarianceEval,
-    Hurst,
     KernelEval,
     _SPLIT_POINT,
     bivariate_expect,
@@ -139,7 +138,7 @@ class BoundedRamp:
 
 
 # ---------------------------------------------------------------------------
-# sigma_ou and Hurst validation
+# sigma_ou and Hurst-exponent validation
 # ---------------------------------------------------------------------------
 
 
@@ -163,20 +162,7 @@ def test_hurst_domain_rejected(bad):
     with pytest.raises(ValueError):
         sigma_ou(bad)
     with pytest.raises(ValueError):
-        Hurst(bad)
-
-
-def test_hurst_dataclass_accepted_everywhere():
-    ke = KernelEval(Hurst(0.3))
-    assert ke.hurst == 0.3
-    assert float(Hurst(0.3)) == 0.3
-
-
-def test_sigma_H_consistency():
-    ke = KernelEval(0.3)
-    lhs = ke.sigma_ou**2
-    rhs = special.gamma(2 * 0.3 + 1.0) * ke.sigma_H**2 / 2.0
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+        KernelEval(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ _CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 # the package namespace before it was read off the modules' lists, less the
 # names deleted since
 _EXPORTED_BEFORE = (
-    "__version__", "Hurst", "KernelEval", "CovarianceEval", "sigma_ou",
+    "__version__", "KernelEval", "CovarianceEval", "sigma_ou",
     "gamma_reflect", "psi_of_C", "cov_sigma", "cov_RL", "VolFunction",
     "BoundedSigmoid", "ConstantVol", "ExponentialVol", "TabulatedVol",
     "GroupParams", "moments", "sigma_bar", "d_bar", "d_bar_markov",
@@ -94,7 +94,7 @@ def test_import_leaves_scipy_signal_to_first_lookup():
 
 def test_namespace_is_version_plus_each_module_list():
     names = roughvol.__all__
-    assert len(names) == len(set(names)) == 62
+    assert len(names) == len(set(names)) == 61
     assert names == ["__version__", *(n for m in _MODULES for n in m.__all__)]
     for module in _MODULES:
         for name in module.__all__:

@@ -11,6 +11,7 @@ from scipy import integrate, special
 from roughvol.gaussfunc import GroupParams
 from roughvol.kernel import KernelEval
 from roughvol.pricing import (
+    _EXP_ARG_MAX,
     Call,
     PriceResult,
     SmoothCustom,
@@ -122,9 +123,26 @@ def test_smooth_ramp_matches_expit(center, width, height):
 
 def test_smooth_ramp_refuses_a_ramp_whose_exp_could_overflow():
     # center / width above 709: exp((center - x) / width) could overflow at
-    # spots near 0 (the finite-difference check refuses it past ~355 too)
+    # spots near 0
     with pytest.raises(ValueError, match="center / width must be at most 709"):
         smooth_ramp(1.0, 1e-3)
+
+
+@pytest.mark.parametrize("ratio", [300.0, 360.0, 500.0, _EXP_ARG_MAX])
+def test_narrow_ramps_pass_the_derivative_check_up_to_the_exp_limit(ratio):
+    # the finite-difference step 1e-4 x is up to 7% of such a ramp's width;
+    # the check's tolerance includes its own truncation error
+    for center, height in ((1.0, 1.0), (1.0, 2.5), (40.0, 0.3)):
+        ramp = smooth_ramp(center, center / ratio, height)
+        assert ramp(center) == 0.5 * height
+
+
+@pytest.mark.parametrize("ratio", [10.0, 360.0, _EXP_ARG_MAX])
+def test_narrow_ramp_with_a_slope_off_by_one_percent_is_refused(ratio):
+    ramp = smooth_ramp(1.0, 1.0 / ratio)
+    with pytest.raises(ValueError, match="h_prime inconsistent with h"):
+        SmoothCustom(ramp.h, lambda x: 1.01 * ramp.h_prime(x), ramp.h_double_prime,
+                     check_points=[0.5, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,27 @@ def test_cholesky_exact_size_limit():
         next(simulate_paths(mp, grid, 2, seed=0))
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_cholesky_exact_prefix_property(antithetic):
+    # the product runs on slabs padded to one fixed shape, so the first m
+    # paths do not depend on n_paths (1-3 base rows, a slab and one more
+    # row, a full batch); the pair of a base row is its negation
+    mp = make_model(maturity_T=0.25)
+    grid = SimGrid(40, 0.25 / 40, 0.0, scheme="CholeskyExact")
+    full = concat_bundles(simulate_paths(mp, grid, 8192, 23, antithetic))
+    pair = 2 if antithetic else 1
+    for base_rows in (1, 2, 3, 130, 4096):
+        m = pair * base_rows
+        head = concat_bundles(simulate_paths(mp, grid, m, 23, antithetic))
+        for name in ("dW", "dB", "Z", "sigma", "X"):
+            assert (getattr(head, name).tobytes()
+                    == getattr(full, name)[:m].tobytes()), (m, name)
+    if antithetic:
+        for name in ("dW", "dB", "Z"):
+            a = getattr(full, name)
+            assert np.array_equal(a[1::2], -a[0::2]), name
+
+
 # -- zero-started (Riemann--Liouville) variant ---------------------------------
 
 
@@ -535,6 +556,22 @@ def test_conditional_law_is_the_moving_sum_and_its_variance():
         assert means.shape == (6, kap * (n - i) + 1)
         assert np.array_equal(means, (so * s._moving_sum(g, xi, True))[:, kap * i:])
         assert np.array_equal(variances, full[: kap * (n - i) + 1])
+
+
+def test_conditional_law_rows_do_not_depend_on_the_block():
+    # a 300-row block (two full slabs and a short one) gives each row the
+    # bits of that row alone, at the price and at the fine nodes
+    mp = make_model()
+    s = FactorSampler(mp, SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0))
+    rng = np.random.default_rng(5)
+    for fine, i in ((False, 0), (False, s.n // 2), (True, s.n // 3)):
+        g = rng.standard_normal((300, s.history_factor(fine).shape[0]))
+        xi = rng.standard_normal((300, s.kappa * i))
+        means, variances = s.conditional_law(g, xi, fine=fine)
+        for p in range(300):
+            row, var = s.conditional_law(g[p: p + 1], xi[p: p + 1], fine=fine)
+            assert row.tobytes() == means[p: p + 1].tobytes(), (fine, i, p)
+            assert var.tobytes() == variances.tobytes()
 
 
 def test_sampler_masses_are_the_fine_cell_masses():
