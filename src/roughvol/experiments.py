@@ -230,9 +230,6 @@ class ConvergenceReport(_ReportMixin):
     """Scaled pricing error ``|MC - q_eps| / sqrt(eps)`` across epsilon."""
 
     eps_grid: tuple
-    errors: tuple
-    error_ses: tuple
-    scaled_errors: tuple
     rate_fits: tuple          # (name, slope) pairs from log-log regression
     points: tuple
     verdict: str
@@ -461,9 +458,6 @@ def convergence_study(mp_base: ModelParams, eps_grid: Sequence[float], payoff,
 
     return ConvergenceReport(
         eps_grid=tuple(eps),
-        errors=tuple(p.error for p in points),
-        error_ses=tuple(p.mc_se for p in points),
-        scaled_errors=tuple(p.scaled_error for p in points),
         rate_fits=(("error_vs_eps_loglog_slope", slope),),
         points=tuple(points),
         verdict=verdict,
@@ -826,6 +820,9 @@ def smile_study(mp_base: ModelParams, eps_grid: Sequence[float],
     from the fitted smile slope.
     """
     eps = _check_dyadic(eps_grid)
+    if len({float(s) for s in strikes_rel}) < 2:
+        raise ValueError("smile slope recovery requires strikes_rel to hold at "
+                         f"least two distinct values; got {list(strikes_rel)!r}")
     if mp_base.rho == 0.0:
         raise ValueError("smile slope recovery requires rho != 0")
     gp = group_params(mp_base)

@@ -171,7 +171,13 @@ def smooth_ramp(center: float, width: float, height: float = 1.0) -> SmoothCusto
         p = logistic(x)
         return p * (1.0 - p) * (1.0 - 2.0 * p) * curve
 
-    return SmoothCustom(h, hp, hpp, check_points=[0.5 * center, center, 2.0 * center])
+    # h'' vanishes at the center and peaks at center +- log(2 + sqrt(3)) width
+    # (about 1.32 width), where a check sees an error in it above the floor
+    peak = math.log(2.0 + math.sqrt(3.0)) * width
+    points = [0.5 * center, center, 2.0 * center, center + peak]
+    if center > peak:
+        points.append(center - peak)
+    return SmoothCustom(h, hp, hpp, check_points=points)
 
 
 @dataclass(frozen=True)

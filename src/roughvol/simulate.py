@@ -39,8 +39,8 @@ only the increments on ``[0, T]``.
 
 The same scheme gives the zero-started factor
 ``Z_t = sigma_ou int_0^t K_eps(t - s) dW_s`` (the Riemann--Liouville
-variant of :func:`simulate_paths_RL` and of ``convergence_study`` with
-``zero_start=True``): a history of rank 0.  The sum runs over the
+variant, ``FactorSampler(zero_start=True)``, which ``convergence_study``
+runs with ``zero_start=True``): a history of rank 0.  The sum runs over the
 increments since ``t = 0`` only, so ``Z_0 = 0`` and there is no
 ``eta_i``.  :class:`FactorSampler` holds the scheme for one grid in either
 mode, and its :meth:`~FactorSampler.paths` is the one route from standard
@@ -91,7 +91,6 @@ __all__ = [
     "FactorSampler",
     "normal_blocks",
     "simulate_paths",
-    "simulate_paths_RL",
     "exact_gaussian_check",
     "concat_bundles",
     "dump_paths",
@@ -364,13 +363,14 @@ def _price(x0: float, log_x: np.ndarray, out: Optional[np.ndarray] = None):
 
 def _vol_and_price(mp: ModelParams, dt: float, z: np.ndarray, xi_w: np.ndarray,
                    zeta: np.ndarray, antithetic: bool):
-    """``(Z, sigma, xi_w, zeta, log_x)`` from the factor ``z`` (already
-    paired when ``antithetic``) and the standardized price increments
-    ``xi_w`` and orthogonal shocks ``zeta`` of the base rows, which are
-    paired here: the vol map and the price step of both schemes."""
-    sigma = mp.vol_fn(z)
+    """``(Z, sigma, xi_w, zeta, log_x)`` from the factor ``z``, the
+    standardized price increments ``xi_w`` and the orthogonal shocks
+    ``zeta`` of the base rows: the pairing, the vol map and the price step
+    of both schemes.  With ``antithetic=True`` all three are paired here by
+    :meth:`FactorSampler.antithetic`, the one place either scheme pairs."""
     if antithetic:
-        xi_w, zeta = FactorSampler.antithetic(xi_w), FactorSampler.antithetic(zeta)
+        z, xi_w, zeta = map(FactorSampler.antithetic, (z, xi_w, zeta))
+    sigma = mp.vol_fn(z)
     return z, sigma, xi_w, zeta, _log_price(mp, dt, sigma, xi_w, zeta)
 
 
@@ -467,7 +467,8 @@ class FactorSampler:
     the thread count.  For antithetic sampling the linear part runs on the
     base rows alone and is paired by :meth:`antithetic` before the vol map
     and the price step; negation is exact and rounding is symmetric in
-    sign, so the output has the bits of computing both rows.
+    sign, so the output has the bits of computing both rows, a
+    zero-started ``Z_0 = +0.0`` included.
 
     Attributes
     ----------
@@ -584,34 +585,31 @@ class FactorSampler:
 
     @staticmethod
     def antithetic(a: np.ndarray) -> np.ndarray:
-        """Rows ``(a_0, -a_0, a_1, -a_1, ...)`` from base rows ``a``."""
+        """Rows ``(a_0, -a_0, a_1, -a_1, ...)`` from base rows ``a``.
+
+        The odd rows are ``0.0 - a``: ``-a`` for every nonzero value, and
+        ``+0.0`` for a zero, which is what computing the negated row gives
+        (a zero-started ``Z_0`` stays ``+0.0``)."""
         out = np.empty((2 * a.shape[0],) + a.shape[1:])
         out[0::2] = a
-        np.negative(a, out=out[1::2])
+        np.subtract(0.0, a, out=out[1::2])
         return out
 
     def z_from_normals(self, g: Optional[np.ndarray], xi: np.ndarray,
-                       r: np.ndarray, eta: Optional[np.ndarray],
-                       antithetic: bool = False) -> np.ndarray:
+                       r: np.ndarray, eta: Optional[np.ndarray]) -> np.ndarray:
         """Factor values ``Z_0..Z_n`` (batch rows) from standard normals.
 
         ``g`` holds the history normals, ``xi`` the fine increments on
         ``[0, T]``, ``r`` and ``eta`` the repair and tail draws; ``g`` and
         ``eta`` are ignored when zero-started.  The repairs go on the last
         ``r.shape[1]`` nodes (all of them, or all but ``t = 0`` when
-        zero-started).  With ``antithetic=True`` the draws are base rows
-        and the result holds each row's antithetic pair.
+        zero-started, where ``Z_0 = +0.0``).
         """
         z = self._moving_sum(g, xi, False)
         z[:, -r.shape[1]:] += self.r_std * r
         if not self.zero_start:
             z += self.eta_std * eta
         z *= self.sig_ou
-        if antithetic:
-            z = self.antithetic(z)
-        if self.zero_start:
-            # Z_0 = 0 is set after pairing: a negated zero would be -0.0
-            z[:, 0] = 0.0
         return z
 
     def conditional_law(self, g: np.ndarray, xi: Optional[np.ndarray] = None,
@@ -679,25 +677,20 @@ class FactorSampler:
         return total / math.sqrt(m)
 
     def paths(self, g: Optional[np.ndarray], xi: np.ndarray, zeta: np.ndarray,
-              r: np.ndarray, eta: Optional[np.ndarray],
-              decay: Optional[np.ndarray] = None, antithetic: bool = False):
+              r: np.ndarray, eta: Optional[np.ndarray], antithetic: bool = False):
         """``(Z, sigma, xi_w, zeta, log_x)`` from the draws of
         :meth:`z_from_normals` and the orthogonal price shocks ``zeta``;
-        ``xi_w`` are the standardized price increments, ``log_x`` is the
+        ``xi_w`` are the standardized price increments and ``log_x`` is the
         cumulative log-price ``log(X / x0)`` at the grid times (0 at
-        ``t = 0``), and ``decay`` is added to ``Z``.  ``x0 * exp(log_x)``
-        has the bits of the price ``X`` of :meth:`bundle`, so a caller that
-        reads a few times exponentiates only those columns.  With
-        ``antithetic=True`` the draws are base rows, paired before the vol
-        map, and every output holds both rows."""
-        z = self.z_from_normals(g, xi, r, eta, antithetic)
-        if decay is not None:
-            z += decay
-        return _vol_and_price(self.mp, self.grid.dt, z,
+        ``t = 0``).  ``x0 * exp(log_x)`` has the bits of the price ``X`` of
+        :meth:`bundle`, so a caller that reads a few times exponentiates
+        only those columns.  With ``antithetic=True`` the draws are base
+        rows, paired by :func:`_vol_and_price` before the vol map, and
+        every output holds both rows."""
+        return _vol_and_price(self.mp, self.grid.dt, self.z_from_normals(g, xi, r, eta),
                               self.block_sums(xi, self.kappa), zeta, antithetic)
 
     def bundle(self, block: np.ndarray, seed: int,
-               decay: Optional[np.ndarray] = None,
                antithetic: bool = False) -> PathBundle:
         """:meth:`paths` from one block of ``ncols`` draws (base rows, as
         :func:`normal_blocks` yields them, with ``antithetic=True``), filled
@@ -706,7 +699,7 @@ class FactorSampler:
         cuts = np.cumsum((self.widths[0], self.kappa * self.n, self.n, self.widths[1]))
         return _bundle(self.mp.x0, self.grid, block, seed, antithetic,
                        lambda slab: self.paths(*np.split(slab, cuts, axis=1),
-                                               decay, antithetic))
+                                               antithetic))
 
 
 def _exact_joint_cov(mp: ModelParams, grid: SimGrid):
@@ -770,8 +763,8 @@ def _exact_slab_paths(mp: ModelParams, grid: SimGrid, antithetic: bool):
         base = np.zeros((_SLAB_ROWS, k))
         base[: slab.shape[0]] = slab[:, :k]
         zx = (base @ lin)[: slab.shape[0]]
-        z = FactorSampler.antithetic(zx[:, : n + 1]) if antithetic else zx[:, : n + 1]
-        return _vol_and_price(mp, grid.dt, z, zx[:, n + 1:], slab[:, k:], antithetic)
+        return _vol_and_price(mp, grid.dt, zx[:, : n + 1], zx[:, n + 1:], slab[:, k:],
+                              antithetic)
 
     return 3 * n + 1, slab_paths
 
@@ -878,27 +871,6 @@ def simulate_paths(mp: ModelParams, grid: SimGrid, n_paths: int, seed: int,
     # map keeps no block between batches: while the caller holds a bundle,
     # the only blocks alive are the stream's last and the one drawn ahead
     yield from map(bundle, normal_blocks(seed, n_paths, ncols, antithetic))
-
-
-def simulate_paths_RL(mp: ModelParams, grid: SimGrid, z0: float,
-                      n_paths: int, seed: int,
-                      antithetic: bool = False) -> Iterator[PathBundle]:
-    """Riemann--Liouville variant: no pre-history, started at ``Z_0 = z0``.
-
-    ``Z_t = z0 exp(-t/eps) + sigma_ou int_0^t K_eps(t-s) dW_s``: the
-    zero-started :class:`FactorSampler` plus the decay of ``z0``.  The grid
-    is checked as for :func:`simulate_paths`, except its warmup, which is
-    not used.
-    """
-    if not math.isfinite(z0):
-        raise ValueError(f"z0 must be finite; got {z0!r}")
-    if grid.scheme != "TruncatedMovingAverage":
-        raise ValueError("simulate_paths_RL supports only TruncatedMovingAverage")
-    sampler = FactorSampler(mp, grid, zero_start=True)
-    decay = z0 * np.exp(-np.arange(grid.n_steps + 1) * sampler.delta)
-    # map keeps no block between batches, as in simulate_paths
-    yield from map(lambda block: sampler.bundle(block, seed, decay, antithetic),
-                   normal_blocks(seed, n_paths, sampler.ncols, antithetic))
 
 
 def concat_bundles(stream) -> PathBundle:

@@ -509,6 +509,16 @@ def test_study_smile_constant_vol_is_config_error(tmp_path, capsys):
     assert "d_bar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strikes", ["[]", "[1.0]", "[1.0, 1.0]"])
+def test_study_smile_needs_two_distinct_strikes(strikes, tmp_path, capsys):
+    # a slope needs two distinct strikes; fewer once reached np.polyfit
+    path = tmp_path / "strikes.ini"
+    path.write_text(f"[study]\nstrikes_rel = {strikes}\n")
+    assert cli.main(["study", "smile", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "strikes_rel" in err and "Traceback" not in err
+
+
 def test_study_unknown_name_rejected_by_parser():
     with pytest.raises(SystemExit):
         cli.main(["study", "sobolev"])

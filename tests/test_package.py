@@ -25,8 +25,7 @@ _EXPORTED_BEFORE = (
     "bs_price", "bs_operator_greeks", "corrected_price",
     "implied_vol_invert", "implied_vol_asymptotic",
     "term_structure_factor", "zeta_exponent", "ModelParams", "SimGrid",
-    "PathBundle", "ExactGaussianReport", "simulate_paths", "simulate_paths_RL",
-    "exact_gaussian_check", "concat_bundles", "dump_paths", "MCEstimate",
+    "PathBundle", "ExactGaussianReport", "simulate_paths", "exact_gaussian_check", "concat_bundles", "dump_paths", "MCEstimate",
     "mc_price", "convergence_study", "vartheta_check", "phi_variance_check",
     "kappa_check", "smile_study", "termstructure_study",
 )
@@ -94,7 +93,7 @@ def test_import_leaves_scipy_signal_to_first_lookup():
 
 def test_namespace_is_version_plus_each_module_list():
     names = roughvol.__all__
-    assert len(names) == len(set(names)) == 61
+    assert len(names) == len(set(names)) == 60
     assert names == ["__version__", *(n for m in _MODULES for n in m.__all__)]
     for module in _MODULES:
         for name in module.__all__:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from roughvol import pricing
 from roughvol.gaussfunc import GroupParams
 from roughvol.kernel import KernelEval
 from roughvol.pricing import (
@@ -143,6 +144,25 @@ def test_narrow_ramp_with_a_slope_off_by_one_percent_is_refused(ratio):
     with pytest.raises(ValueError, match="h_prime inconsistent with h"):
         SmoothCustom(ramp.h, lambda x: 1.01 * ramp.h_prime(x), ramp.h_double_prime,
                      check_points=[0.5, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("ratio", [10.0, 360.0, _EXP_ARG_MAX])
+def test_ramp_with_a_curvature_off_by_one_percent_is_refused(ratio, monkeypatch):
+    # h'' vanishes at the center, so smooth_ramp also checks it where it peaks
+    checked = pricing.SmoothCustom
+
+    def curvature_off(h, h_prime, h_double_prime, check_points):
+        return checked(h, h_prime, lambda x: 1.01 * h_double_prime(x), check_points)
+
+    monkeypatch.setattr(pricing, "SmoothCustom", curvature_off)
+    with pytest.raises(ValueError, match="h_double_prime inconsistent with h"):
+        smooth_ramp(1.0, 1.0 / ratio)
+
+
+@pytest.mark.parametrize("width", [1.0 / _EXP_ARG_MAX, 0.2, 1.0, 2.0])
+def test_exact_ramp_passes_the_curvature_peak_checks(width):
+    # at widths 1 and 2 the lower peak lies below 0 and is not checked
+    assert smooth_ramp(1.0, width)(1.0) == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from roughvol.simulate import (
     exact_gaussian_check,
     normal_blocks,
     simulate_paths,
-    simulate_paths_RL,
     _SLAB_ROWS,
     _exact_joint_cov,
     _scheme_joint_cov,
@@ -448,17 +447,16 @@ def test_cholesky_exact_prefix_property(antithetic):
 # -- zero-started (Riemann--Liouville) variant ---------------------------------
 
 
-def test_rl_starts_exactly_at_z0():
-    mp = make_model(maturity_T=0.2)
-    grid = SimGrid.for_model(mp)
-    b = next(simulate_paths_RL(mp, grid, z0=0.7, n_paths=16, seed=9))
-    assert np.all(b.Z[:, 0] == 0.7)
+def zero_started_paths(mp, grid, n_paths, seed):
+    s = FactorSampler(mp, grid, zero_start=True)
+    return concat_bundles(s.bundle(block, seed)
+                          for block in normal_blocks(seed, n_paths, s.ncols))
 
 
 def test_rl_variance_matches_quadrature_oracle():
     mp = make_model(maturity_T=0.3)
     grid = SimGrid.for_model(mp)
-    b = concat_bundles(simulate_paths_RL(mp, grid, 0.0, 8000, seed=31))
+    b = zero_started_paths(mp, grid, 8000, seed=31)
     for t_over_eps in (2.0, 6.0):
         i = round(t_over_eps * mp.eps / grid.dt)
         target = SO2 * cov_RL(t_over_eps, 0.0, KE)
@@ -470,7 +468,7 @@ def test_rl_variance_matches_quadrature_oracle():
 def test_rl_relaxes_to_stationary_autocovariance():
     mp = make_model(maturity_T=0.3)
     grid = SimGrid.for_model(mp)
-    b = concat_bundles(simulate_paths_RL(mp, grid, 0.0, 8000, seed=32))
+    b = zero_started_paths(mp, grid, 8000, seed=32)
     steps_per_eps = round(mp.eps / grid.dt)
     i0 = 4 * steps_per_eps  # t = 4 eps >> eps
     prod = b.Z[:, i0] * b.Z[:, i0 + steps_per_eps]
@@ -481,21 +479,14 @@ def test_rl_relaxes_to_stationary_autocovariance():
 def test_rl_validation():
     mp = make_model()
     grid = SimGrid.for_model(mp)
-    with pytest.raises(ValueError, match="finite"):
-        next(simulate_paths_RL(mp, grid, math.nan, 4, seed=0))
-    with pytest.raises(ValueError, match="n_paths"):
-        next(simulate_paths_RL(mp, grid, 0.0, -1, seed=0))
-    ce_grid = SimGrid(40, 0.25 / 40, 0.0, scheme="CholeskyExact")
-    with pytest.raises(ValueError, match="TruncatedMovingAverage"):
-        next(simulate_paths_RL(make_model(maturity_T=0.25), ce_grid, 0.0, 4, seed=0))
     # the grid checks are those of simulate_paths, except the warmup
     coarse = SimGrid(10, 0.03, 1.5)
     with pytest.raises(ValueError, match="the grid must resolve the fast scale"):
-        next(simulate_paths_RL(mp, coarse, 0.0, 4, seed=0))
+        FactorSampler(mp, coarse, zero_start=True)
     with pytest.raises(ValueError, match="maturity"):
-        next(simulate_paths_RL(mp, SimGrid(40, 0.01, 1.5), 0.0, 4, seed=0))
+        FactorSampler(mp, SimGrid(40, 0.01, 1.5), zero_start=True)
     no_warmup = SimGrid(grid.n_steps, grid.dt, 0.0)
-    assert next(simulate_paths_RL(mp, no_warmup, 0.0, 4, seed=0)).Z.shape == (
+    assert zero_started_paths(mp, no_warmup, 4, seed=0).Z.shape == (
         4, grid.n_steps + 1)
 
 
@@ -511,7 +502,7 @@ def test_factor_matches_direct_moving_sum(zero_start):
     n, kap, rank = s.n, s.kappa, s.widths[0]
     block = next(normal_blocks(3, 6, s.ncols))
     if zero_start:
-        z = next(simulate_paths_RL(mp, grid, 0.0, 6, seed=3)).Z
+        z = s.bundle(block, 3).Z
         assert rank == 0
     else:
         z = next(simulate_paths(mp, grid, 6, seed=3)).Z
@@ -582,14 +573,6 @@ def test_sampler_masses_are_the_fine_cell_masses():
     assert np.array_equal(s.w_conv, s.masses / math.sqrt(fine))
 
 
-def test_rl_reproducible():
-    mp = make_model(maturity_T=0.2)
-    grid = SimGrid.for_model(mp)
-    a = next(simulate_paths_RL(mp, grid, 0.3, 64, seed=4))
-    b = next(simulate_paths_RL(mp, grid, 0.3, 64, seed=4))
-    assert np.array_equal(a.Z, b.Z) and np.array_equal(a.X, b.X)
-
-
 # -- bit-identity of the antithetic and convolution routes -----------------------
 # compared with tobytes(), which, unlike np.array_equal, sees the sign of zero
 
@@ -623,7 +606,6 @@ def test_bundle_does_not_depend_on_the_slab_size(route, monkeypatch):
     mp = make_model()
     grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0)
     s = FactorSampler(mp, grid, zero_start=route == "rl")
-    decay = 0.4 * np.exp(-np.arange(s.n + 1) * s.delta) if route == "rl" else None
     antithetic = route != "plain"
     block = next(normal_blocks(13, 600 if antithetic else 300, s.ncols, antithetic))
     assert block.shape[0] == 300 and 300 % _SLAB_ROWS
@@ -631,7 +613,7 @@ def test_bundle_does_not_depend_on_the_slab_size(route, monkeypatch):
     def arrays(size):
         monkeypatch.setattr(roughvol.simulate, "_SLAB_ROWS", size)
         assert len(s.row_slabs(300)) == -(-300 // size)
-        b = s.bundle(block, 13, decay, antithetic)
+        b = s.bundle(block, 13, antithetic)
         return [getattr(b, name).tobytes()
                 for name in ("times", "dW", "dB", "Z", "sigma", "X")]
 
@@ -667,23 +649,22 @@ def _interleaved_blocks(seed, n_paths, ncols):
         yield pairs[: min(4096, n_paths - first)]
 
 
-@pytest.mark.parametrize("z0", [None, 0.0, 0.7])
-def test_antithetic_paths_match_interleaved_draws(z0):
+@pytest.mark.parametrize("zero_start", [False, True])
+def test_antithetic_paths_match_interleaved_draws(zero_start):
     # 4,110 paths: a full batch, then a partial one of 7 antithetic pairs
     mp = make_model()
     grid = SimGrid.for_model(mp, points_per_eps=8, warmup_mult=30.0)
     n_paths, seed = 4110, 17
-    if z0 is None:
-        s, decay = FactorSampler(mp, grid), None
-        got = simulate_paths(mp, grid, n_paths, seed, antithetic=True)
+    s = FactorSampler(mp, grid, zero_start)
+    if zero_start:
+        got = (s.bundle(block, seed, antithetic=True)
+               for block in normal_blocks(seed, n_paths, s.ncols, antithetic=True))
     else:
-        s = FactorSampler(mp, grid, zero_start=True)
-        decay = z0 * np.exp(-np.arange(grid.n_steps + 1) * s.delta)
-        got = simulate_paths_RL(mp, grid, z0, n_paths, seed, antithetic=True)
+        got = simulate_paths(mp, grid, n_paths, seed, antithetic=True)
     sizes = []
     for bundle, block in zip(got, _interleaved_blocks(seed, n_paths, s.ncols),
                              strict=True):
-        ref = s.bundle(block, seed, decay)
+        ref = s.bundle(block, seed)
         for name in ("times", "dW", "dB", "Z", "sigma", "X"):
             assert getattr(bundle, name).tobytes() == getattr(ref, name).tobytes(), name
         sizes.append(bundle.X.shape[0])
@@ -701,17 +682,18 @@ def test_factor_is_c_ordered(zero_start, antithetic):
 
 
 def test_zero_start_factor_of_base_rows_keeps_positive_zero():
-    # convergence_study(zero_start=True) pairs Z with no decay added after
+    # convergence_study(zero_start=True) pairs the factor of the base rows:
+    # a negated Z_0 = +0.0 must not become -0.0
     mp = make_model()
     s = FactorSampler(mp, SimGrid.for_model(mp), zero_start=True)
     base = next(normal_blocks(4, 14, s.ncols, antithetic=True))
     assert base.shape == (7, s.ncols)
-    nfine = s.kappa * s.n
-    xi, r = base[:, :nfine], base[:, nfine + s.n:]
-    paired = s.z_from_normals(None, xi, r, None, antithetic=True)
-    ref = s.z_from_normals(None, s.antithetic(xi), s.antithetic(r), None)
-    assert paired.tobytes() == ref.tobytes()
-    assert not np.signbit(paired[:, 0]).any()
+    cuts = np.cumsum((s.widths[0], s.kappa * s.n, s.n, s.widths[1]))
+    paired = s.paths(*np.split(base, cuts, axis=1), antithetic=True)
+    ref = s.paths(*np.split(s.antithetic(base), cuts, axis=1))
+    assert not np.signbit(paired[0][:, 0]).any()
+    for got, want in zip(paired, ref, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -722,19 +704,15 @@ def prefix_runs():
 
     def run(route, n_paths):
         if (route, n_paths) not in cache:
-            if route == "rl":
-                stream = simulate_paths_RL(mp, grid, 0.4, n_paths, 8, antithetic=True)
-            else:
-                stream = simulate_paths(mp, grid, n_paths, 8,
-                                        antithetic=route == "antithetic")
-            cache[route, n_paths] = concat_bundles(stream)
+            cache[route, n_paths] = concat_bundles(simulate_paths(
+                mp, grid, n_paths, 8, antithetic=route == "antithetic"))
         return cache[route, n_paths]
 
     return run
 
 
 @pytest.mark.parametrize("route, n_paths", [
-    *((route, n) for route in ("antithetic", "rl") for n in (4098, 4100, 4102)),
+    *(("antithetic", n) for n in (4098, 4100, 4102)),
     *(("plain", n) for n in (4097, 4098, 4099, 4100, 4102)),
 ])
 def test_prefix_on_a_last_batch_of_few_rows(route, n_paths, prefix_runs):
@@ -827,7 +805,7 @@ def test_draw_ahead_thread_ends_with_the_stream():
     assert threading.active_count() == baseline
 
 
-@pytest.mark.parametrize("route", ["plain", "antithetic", "rl"])
+@pytest.mark.parametrize("route", ["plain", "antithetic"])
 def test_yielded_bundle_owns_its_arrays(route):
     # a consumer may keep a batch's arrays without copying them while the
     # stream goes on to draw and build the later batches
@@ -835,8 +813,6 @@ def test_yielded_bundle_owns_its_arrays(route):
     grid = SimGrid.for_model(mp)
 
     def run(n_paths):
-        if route == "rl":
-            return simulate_paths_RL(mp, grid, 0.4, n_paths, 9, antithetic=True)
         return simulate_paths(mp, grid, n_paths, 9, antithetic=route == "antithetic")
 
     ref = next(run(4096))
